@@ -526,8 +526,6 @@ def project(body: ConvexBody, subspace) -> ConvexBody:
     if body.kind == "ellipsoid":
         return ellipsoid(basis.T @ body.center, basis.T @ body.shape @ basis, flags)
     verts = _vrep(body) @ basis
-    if k == 1:
-        return vpolytope(verts, flags)
     return vpolytope(verts, flags)
 
 

@@ -1,14 +1,14 @@
 """Exact low-dimensional polytope computations.
 
-Convex hulls with full facet structure via incremental (beneath-beyond)
-insertion, combinatorial vertex enumeration of bounded halfspace
-intersections, fan-triangulation volumes and centroids, and exact planar
-area/perimeter.  Everything is double precision; intended scale is
+Convex hulls with merged facet structure (Qhull in dimension >= 3, a
+monotone chain in the plane), combinatorial vertex enumeration of bounded
+halfspace intersections, fan-triangulation volumes and centroids, and exact
+planar area/perimeter.  Everything is double precision; intended scale is
 dimension <= 6 and at most a few thousand points.
 
-No jitter is applied anywhere: exact ties (coplanar points) are resolved by
-the facet-visibility tolerance, which is 1e-10 times the point-cloud
-diameter, so that volumes used inside expectations stay unbiased.
+No jitter is applied anywhere.  Qhull runs with scipy's default options and
+returns a triangulated boundary; ridge-adjacent simplices whose planes agree
+within MERGE_TOL form one facet, so a cube has 6 facets.
 """
 from __future__ import annotations
 
@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
 logger = logging.getLogger(__name__)
 
 MAX_DIM = 6
 
-VISIBILITY_TOL_FACTOR = 1e-10
 RANK_RTOL = 1e-10
 MERGE_TOL = 1e-8
 VERTEX_TOL = 1e-8
@@ -150,195 +150,31 @@ def dedupe_points(points: np.ndarray, tol: float) -> np.ndarray:
     return spts[kept]
 
 
-def _initial_simplex(pts: np.ndarray, d: int, tol: float) -> list[int]:
-    spread = pts.max(axis=0) - pts.min(axis=0)
-    ax = int(np.argmax(spread))
-    i0 = int(np.argmin(pts[:, ax]))
-    i1 = int(np.argmax(pts[:, ax]))
-    chosen = [i0, i1]
-    base = pts[i0]
-    dirs = np.empty((d, d))
-    v = pts[i1] - base
-    dirs[0] = v / np.linalg.norm(v)
-    ndirs = 1
-    rel = pts - base
-    while len(chosen) < d + 1:
-        resid = rel - rel @ dirs[:ndirs].T @ dirs[:ndirs]
-        dist = np.linalg.norm(resid, axis=1)
-        i = int(np.argmax(dist))
-        if dist[i] <= tol:
-            raise DegenerateHullError(ndirs, d)
-        chosen.append(i)
-        dirs[ndirs] = resid[i] / dist[i]
-        ndirs += 1
-    return chosen
-
-
-def _facet_planes(
-    pts: np.ndarray, vert_tuples: np.ndarray, interior: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outward unit normals and offsets for batches of (d)-vertex facets.
-
-    Returns (normals, offsets, ok) where ok flags facets whose vertices are
-    affinely independent enough to define a hyperplane.
-    """
-    v = pts[vert_tuples]
-    d = pts.shape[1]
-    e = (v[:, 1:, :] - v[:, :1, :]).transpose(0, 2, 1)
-    q, r = np.linalg.qr(np.ascontiguousarray(e), mode="complete")
-    normals = q[:, :, d - 1]
-    rd = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    scale = np.max(np.abs(e), axis=(1, 2)) + 1e-300
-    ok = rd.min(axis=1) > 1e-12 * scale
-    offsets = np.einsum("ij,ij->i", normals, v[:, 0, :])
-    flip = np.einsum("ij,j->i", normals, interior) > offsets
-    normals[flip] *= -1.0
-    offsets[flip] *= -1.0
-    return normals, offsets, ok
-
-
-class _HullState:
-    """Growing facet arrays plus ridge adjacency for incremental insertion."""
-
-    def __init__(self, d: int):
-        self.d = d
-        cap = 64
-        self.normals = np.empty((cap, d))
-        self.offsets = np.empty(cap)
-        self.alive = np.zeros(cap, dtype=bool)
-        self.fverts: list[tuple[int, ...]] = []
-        self.ridges: dict[tuple[int, ...], list[int]] = {}
-        self.outside: dict[int, list[int]] = {}
-
-    def _grow(self) -> None:
-        cap = len(self.offsets)
-        self.normals = np.concatenate([self.normals, np.empty((cap, self.d))])
-        self.offsets = np.concatenate([self.offsets, np.empty(cap)])
-        self.alive = np.concatenate([self.alive, np.zeros(cap, dtype=bool)])
-
-    def add_facet(self, verts: tuple[int, ...], normal: np.ndarray, offset: float) -> int:
-        fid = len(self.fverts)
-        if fid >= len(self.offsets):
-            self._grow()
-        self.normals[fid] = normal
-        self.offsets[fid] = offset
-        self.alive[fid] = True
-        self.fverts.append(verts)
-        for ridge in itertools.combinations(sorted(verts), self.d - 1):
-            self.ridges.setdefault(ridge, []).append(fid)
-        return fid
-
-    def kill_facet(self, fid: int) -> None:
-        self.alive[fid] = False
-        for ridge in itertools.combinations(sorted(self.fverts[fid]), self.d - 1):
-            lst = self.ridges.get(ridge)
-            if lst is not None:
-                lst.remove(fid)
-                if not lst:
-                    del self.ridges[ridge]
-        self.outside.pop(fid, None)
-
-    def alive_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.alive[: len(self.fverts)])
-
-
-def _incremental_hull(pts: np.ndarray, d: int, tol: float) -> HullComplex:
-    init = _initial_simplex(pts, d, tol)
-    interior = pts[init].mean(axis=0)
-    state = _HullState(d)
-
-    tuples = np.array(
-        [[init[i] for i in range(d + 1) if i != leave] for leave in range(d + 1)]
-    )
-    normals, offsets, ok = _facet_planes(pts, tuples, interior)
-    if not ok.all():
-        raise DegenerateHullError(affine_rank(pts[init]), d)
-    for t, nrm, off in zip(tuples, normals, offsets):
-        state.add_facet(tuple(int(x) for x in t), nrm, off)
-
-    candidates = np.setdiff1d(np.arange(len(pts)), np.array(init))
-    if len(candidates):
-        ids = state.alive_ids()
-        viol = pts[candidates] @ state.normals[ids].T - state.offsets[ids]
-        best = np.argmax(viol, axis=1)
-        maxv = viol[np.arange(len(candidates)), best]
-        for ci in np.flatnonzero(maxv > tol):
-            state.outside.setdefault(int(ids[best[ci]]), []).append(int(candidates[ci]))
-
-    deferred: dict[int, int] = {}
-    while True:
-        pending = [f for f, o in state.outside.items() if o and state.alive[f]]
-        if not pending:
-            break
-        fid = min(pending)
-        members = state.outside[fid]
-        nrm, off = state.normals[fid], state.offsets[fid]
-        dists = pts[members] @ nrm - off
-        p_idx = members[int(np.argmax(dists))]
-
-        ids = state.alive_ids()
-        vis_mask = pts[p_idx] @ state.normals[ids].T - state.offsets[ids] > tol
-        visible = [int(f) for f in ids[vis_mask]]
-        if not visible:
-            members.remove(p_idx)
-            continue
-
-        horizon: list[tuple[tuple[int, ...], int]] = []
-        vis_set = set(visible)
-        for vf in visible:
-            for ridge in itertools.combinations(sorted(state.fverts[vf]), d - 1):
-                for other in state.ridges[ridge]:
-                    if other != vf and other not in vis_set:
-                        horizon.append((ridge, other))
-
-        new_tuples = np.array([ridge + (p_idx,) for ridge, _ in horizon])
-        normals, offsets, ok = _facet_planes(pts, new_tuples, interior)
-        if not ok.all():
-            # Nearly-flat candidate facet: p sits in a ridge's span.  Retry
-            # the point later; the local geometry usually resolves after
-            # other insertions, otherwise drop it (it is within tolerance
-            # of the boundary).
-            members.remove(p_idx)
-            if deferred.get(p_idx, 0) < 2:
-                deferred[p_idx] = deferred.get(p_idx, 0) + 1
-                members.append(p_idx)
-            else:
-                logger.debug("dropped near-coplanar point %d", p_idx)
-            continue
-
-        orphans: list[int] = []
-        for vf in visible:
-            orphans.extend(state.outside.get(vf, []))
-            state.kill_facet(vf)
-        orphans = [o for o in set(orphans) if o != p_idx]
-
-        for t, nn, bb in zip(new_tuples, normals, offsets):
-            state.add_facet(tuple(int(x) for x in t), nn, bb)
-
-        if orphans:
-            ids = state.alive_ids()
-            viol = pts[orphans] @ state.normals[ids].T - state.offsets[ids]
-            best = np.argmax(viol, axis=1)
-            maxv = viol[np.arange(len(orphans)), best]
-            for oi in np.flatnonzero(maxv > tol):
-                state.outside.setdefault(int(ids[best[oi]]), []).append(orphans[oi])
-
-    return _finalize(pts, state, interior)
-
-
-def _finalize(pts: np.ndarray, state: _HullState, interior: np.ndarray) -> HullComplex:
-    d = state.d
-    ids = state.alive_ids()
-    used = sorted({v for f in ids for v in state.fverts[int(f)]})
-    remap = {v: i for i, v in enumerate(used)}
+def _qhull(pts: np.ndarray, d: int) -> HullComplex:
+    """Qhull's triangulated hull, its simplices merged into polytope facets."""
+    try:
+        qh = ConvexHull(pts)
+    except QhullError:
+        raise DegenerateHullError(affine_rank(pts), d) from None
+    used = qh.vertices  # sorted input indices when d >= 3
+    remap = np.empty(len(pts), dtype=int)
+    remap[used] = np.arange(len(used))
     vertices = pts[used]
-    simplices = np.array(
-        [[remap[v] for v in state.fverts[int(f)]] for f in ids], dtype=int
-    )
+    simplices = remap[qh.simplices]
+    norms = qh.equations[:, :d]
+    offs = -qh.equations[:, d]
 
     # Merge coplanar simplicial facets into polytope facets (union-find over
     # ridge-adjacent pairs with matching planes).
-    n_s = len(ids)
+    n_s = len(simplices)
+    first = np.repeat(np.arange(n_s), d)
+    second = qh.neighbors.ravel()
+    pair = first < second
+    first, second = first[pair], second[pair]
+    scale = float(np.max(np.abs(vertices))) + 1.0
+    same = (np.linalg.norm(norms[first] - norms[second], axis=1) <= MERGE_TOL) & (
+        np.abs(offs[first] - offs[second]) <= MERGE_TOL * scale
+    )
     parent = list(range(n_s))
 
     def find(x: int) -> int:
@@ -347,26 +183,16 @@ def _finalize(pts: np.ndarray, state: _HullState, interior: np.ndarray) -> HullC
             x = parent[x]
         return x
 
-    pos = {int(f): i for i, f in enumerate(ids)}
-    norms = state.normals[ids]
-    offs = state.offsets[ids]
-    scale = float(np.max(np.abs(vertices))) + 1.0
-    for lst in state.ridges.values():
-        if len(lst) == 2:
-            a, b = pos[lst[0]], pos[lst[1]]
-            if (
-                np.linalg.norm(norms[a] - norms[b]) <= MERGE_TOL
-                and abs(offs[a] - offs[b]) <= MERGE_TOL * scale
-            ):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
+    for a, b in zip(first[same].tolist(), second[same].tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
     groups: dict[int, list[int]] = {}
     for i in range(n_s):
         groups.setdefault(find(i), []).append(i)
     facets = []
     for root, members in sorted(groups.items()):
-        vset = sorted({v for m in members for v in simplices[m]})
+        vset = sorted(set(simplices[members].ravel().tolist()))
         facets.append(
             Facet(normal=norms[root].copy(), offset=float(offs[root]), vertex_ids=tuple(vset))
         )
@@ -462,9 +288,10 @@ def convex_hull(points: np.ndarray, dim: int | None = None) -> HullComplex:
     if d == 1:
         return _hull_1d(pts)
     if d == 2:
+        # Planar hulls here have a handful of points, where the monotone
+        # chain is faster than a call into Qhull.
         return _hull_2d(pts)
-    diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    return _incremental_hull(pts, d, VISIBILITY_TOL_FACTOR * diam)
+    return _qhull(pts, d)
 
 
 def volume_and_centroid(hull: HullComplex) -> tuple[float, np.ndarray]:
@@ -496,8 +323,6 @@ def planar_intrinsics(vertices: np.ndarray) -> tuple[float, float]:
     if pts.shape[1] != 2:
         raise ValueError("planar_intrinsics expects 2-d points")
     if affine_rank(pts) < 2:
-        lo = pts[np.argmin(pts @ pts.sum(axis=0))]
-        d = np.linalg.norm(pts - pts[0], axis=1)
         length = float(np.max(np.linalg.norm(pts[:, None] - pts[None, :], axis=2)))
         logger.warning("degenerate planar polytope: area 0, segment length %g", length)
         return 0.0, 2.0 * length

@@ -23,6 +23,73 @@ def cube_corners(d=3):
     return np.array(np.meshgrid(*[[0.0, 1.0]] * d, indexing="ij")).reshape(d, -1).T
 
 
+def simplex_corners(d):
+    return np.vstack([np.zeros(d), np.eye(d)])
+
+
+def cross_polytope(d):
+    return np.vstack([np.eye(d), -np.eye(d)])
+
+
+# shape -> d -> (points, volume, surface area, facet count, vertices per facet)
+CLOSED_FORMS = {
+    "cube": lambda d: (cube_corners(d), 1.0, 2.0 * d, 2 * d, 2 ** (d - 1)),
+    "simplex": lambda d: (
+        simplex_corners(d),
+        1.0 / math.factorial(d),
+        (d + math.sqrt(d)) / math.factorial(d - 1),
+        d + 1,
+        d,
+    ),
+    "cross-polytope": lambda d: (
+        cross_polytope(d),
+        2.0**d / math.factorial(d),
+        2.0**d * math.sqrt(d) / math.factorial(d - 1),
+        2**d,
+        d,
+    ),
+}
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("shape", sorted(CLOSED_FORMS))
+def test_hull_closed_forms(shape, d):
+    pts, volume, surface, n_facets, per_facet = CLOSED_FORMS[shape](d)
+    hull = convex_hull(pts)
+    assert len(hull.vertices) == len(pts)
+    assert hull.volume() == pytest.approx(volume, rel=1e-12)
+    assert hull.surface_area() == pytest.approx(surface, rel=1e-12)
+    assert len(hull.facets) == n_facets
+    assert all(len(f.vertex_ids) == per_facet for f in hull.facets)
+    a, b = hull.facet_matrix()
+    slack = hull.vertices @ a.T - b
+    assert slack.max() <= 1e-12
+    for i, facet in enumerate(hull.facets):
+        assert np.abs(slack[list(facet.vertex_ids), i]).max() <= 1e-12
+
+
+def test_hull_drops_repeated_and_non_extreme_points():
+    corners = cube_corners(3)
+    pts = np.vstack([corners, corners, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.5]]])
+    hull = convex_hull(pts)
+    assert len(hull.vertices) == 8
+    assert len(hull.facets) == 6
+    assert all(len(f.vertex_ids) == 4 for f in hull.facets)
+    assert hull.volume() == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_thin_hull_matches_stretched_copy(seed):
+    # A slab of thickness 1e-9: stretching it to unit thickness is affine,
+    # so the hull keeps its vertices and its volume scales by 1e9.
+    gen = RngStream(seed).generator()
+    pts = np.column_stack([gen.uniform(size=(30, 2)), 1e-9 * gen.uniform(size=30)])
+    stretched = convex_hull(pts * [1.0, 1.0, 1e9])
+    thin = convex_hull(pts)
+    assert len(thin.vertices) == len(stretched.vertices)
+    assert thin.volume() == pytest.approx(stretched.volume() / 1e9, rel=1e-6)
+
+
 def test_square_hull():
     hull = convex_hull(np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]]))
     assert len(hull.vertices) == 4
