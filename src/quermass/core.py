@@ -175,11 +175,3 @@ class MeanAccumulator:
         m = self.mean()
         var = max(math.fsum(self._sqsums) / n - m * m, 0.0) * n / (n - 1)
         return math.sqrt(var / n)
-
-
-def unit_vector(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
-        raise DomainError("cannot normalize the zero vector")
-    return v / nrm

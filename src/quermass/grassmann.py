@@ -51,10 +51,6 @@ def subspace_from_basis(basis: np.ndarray) -> Subspace:
     return Subspace(b.shape[0], b.shape[1], b)
 
 
-def complement(subspace: Subspace) -> Subspace:
-    return subspace.complement()
-
-
 def _sign_fixed_qr(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q, r = np.linalg.qr(g)
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))

@@ -177,26 +177,15 @@ def projected_volumes(body: bd.ConvexBody, bases: np.ndarray) -> np.ndarray:
     proj = np.einsum("vn,cnm->cvm", verts, bases)
     if m == 1:
         return proj[:, :, 0].max(axis=1) - proj[:, :, 0].min(axis=1)
-    out = np.empty(count)
     if m == 2:
-        for i in range(count):
-            out[i] = _polygon_area(proj[i])
-        return out
+        return pt.polygon_areas(proj)
+    out = np.empty(count)
     for i in range(count):
         try:
             out[i] = pt.hull_volume(proj[i], m)
         except pt.DegenerateHullError:
             out[i] = 0.0
     return out
-
-
-def _polygon_area(points: np.ndarray) -> float:
-    idx = pt.hull2d_indices(points)
-    if len(idx) < 3:
-        return 0.0
-    poly = points[idx]
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
 def quermass_kubota(body: bd.ConvexBody, j: int, samples: int,

@@ -205,6 +205,24 @@ def _parse_bodies(raw_bodies: list, errors: list[str]) -> list[bd.ConvexBody]:
     return out
 
 
+_INT_PARAMS = ("k", "j", "N", "samples", "sub_samples")
+_BUDGET_PARAMS = ("samples", "sub_samples")
+
+
+def _param_problems(params: dict) -> list[str]:
+    """Integer parameters that are not integers, and budgets below 1."""
+    problems = []
+    for name in _INT_PARAMS:
+        if name not in params:
+            continue
+        val = params[name]
+        if isinstance(val, bool) or not isinstance(val, int):
+            problems.append(f"{name}: must be an integer, got {val!r}")
+        elif name in _BUDGET_PARAMS and val < 1:
+            problems.append(f"{name}: must be >= 1, got {val}")
+    return problems
+
+
 def load_scenario(source: str | dict) -> Scenario:
     """Parse and fully validate a scenario file, dict, or built-in name."""
     if isinstance(source, str):
@@ -227,11 +245,15 @@ def load_scenario(source: str | dict) -> Scenario:
         if not isinstance(entry, dict) or "check" not in entry:
             errors.append(f"{path}: expected an object with a 'check' id")
             continue
-        if entry["check"] not in REGISTRY:
-            errors.append(f"{path}: unknown check id {entry['check']!r}")
-            continue
+        cid = entry["check"]
         params = {key: val for key, val in entry.items() if key != "check"}
-        checks.append(CheckSpec(check=entry["check"], params=params))
+        problems = _param_problems(params)
+        if not isinstance(cid, str) or cid not in REGISTRY:
+            problems.insert(0, f"check: unknown check id {cid!r}")
+        if problems:
+            errors.extend(f"{path}.{problem}" for problem in problems)
+            continue
+        checks.append(CheckSpec(check=cid, params=params))
     output = doc.get("output", {})
     out_path = output.get("path")
     out_format = output.get("format", "csv")

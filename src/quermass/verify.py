@@ -10,13 +10,16 @@ sampling cannot certify a violation of a max-based inequality).
 Section quermassintegrals are always computed in the flat's intrinsic
 dimension; conversions between ambient dimensions go through dim_convert.
 Monte Carlo constants (expected hull volumes over the ball, flat-measure
-calibration) are computed once per parameter tuple and cached with their
-standard errors; downstream margins combine errors in quadrature.
+calibration) and reference values are computed once per parameter tuple,
+under a per-key lock so that concurrent checks share one computation, and
+cached with their standard errors; downstream margins combine errors in
+quadrature.
 """
 from __future__ import annotations
 
 import logging
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -96,13 +99,46 @@ def gamma_thm34_const(n: int, k: int, j: int) -> float:
 
 
 _MC_CONSTANT_CACHE: dict[tuple, Estimate] = {}
+_KEY_LOCKS: dict[tuple, threading.Lock] = {}
+_KEY_LOCKS_GUARD = threading.Lock()
 
 
-def _hull_volume_or_zero(points: np.ndarray, dim: int) -> float:
-    try:
-        return pt.hull_volume(points, dim)
-    except pt.DegenerateHullError:
-        return 0.0
+def _compute_once(cache: dict, key: tuple, compute) -> Estimate:
+    """cache[key], filled by compute() once even when threads ask together."""
+    value = cache.get(key)
+    if value is not None:
+        return value
+    with _KEY_LOCKS_GUARD:
+        lock = _KEY_LOCKS.setdefault((id(cache), key), threading.Lock())
+    with lock:
+        value = cache.get(key)
+        if value is None:
+            value = compute()
+            cache[key] = value
+    return value
+
+
+def _hull_volumes(x: np.ndarray, include_origin: bool) -> np.ndarray:
+    """|conv({0}? union {x_1..x_q})| for each row of x, shape (count, q, d)."""
+    count, q, d = x.shape
+    if d == 1:
+        hi = x[:, :, 0].max(axis=1)
+        lo = x[:, :, 0].min(axis=1)
+        if include_origin:
+            hi = np.maximum(hi, 0.0)
+            lo = np.minimum(lo, 0.0)
+        return hi - lo
+    if include_origin:
+        x = np.concatenate([np.zeros((count, 1, d)), x], axis=1)
+    if d == 2:
+        return pt.polygon_areas(x)
+    out = np.empty(count)
+    for i in range(count):
+        try:
+            out[i] = pt.hull_volume(x[i], d)
+        except pt.DegenerateHullError:
+            out[i] = 0.0
+    return out
 
 
 def _random_hull_volumes(d: int, q: int, include_origin: bool, count: int,
@@ -111,23 +147,7 @@ def _random_hull_volumes(d: int, q: int, include_origin: bool, count: int,
     g = gen.standard_normal((count, q, d))
     g /= np.linalg.norm(g, axis=2, keepdims=True)
     r = gen.uniform(size=(count, q, 1)) ** (1.0 / d)
-    x = g * r
-    if d == 1:
-        vals = x[:, :, 0]
-        hi = vals.max(axis=1)
-        lo = vals.min(axis=1)
-        if include_origin:
-            hi = np.maximum(hi, 0.0)
-            lo = np.minimum(lo, 0.0)
-        out = hi - lo
-    elif d == 2 and q == 2 and include_origin:
-        out = 0.5 * np.abs(x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0])
-    else:
-        out = np.empty(count)
-        zero = np.zeros((1, d))
-        for i in range(count):
-            pts = np.vstack([zero, x[i]]) if include_origin else x[i]
-            out[i] = _hull_volume_or_zero(pts, d)
+    out = _hull_volumes(g * r, include_origin)
     if power != 1.0:
         out = out ** power
     return out
@@ -146,22 +166,21 @@ def dpp_constant(d: int, q: int, include_origin: bool, samples: int,
             raise PreconditionError("need 1 <= d <= q with the origin included")
     elif not 1 <= d <= q - 1:
         raise PreconditionError("need d <= q-1 without the origin")
+
+    def compute() -> Estimate:
+        acc = MeanAccumulator()
+        done = 0
+        batch_id = 0
+        while done < samples:
+            take = min(it.BATCH, samples - done)
+            gen = rng.split(batch_id).generator()
+            acc.add(_random_hull_volumes(d, q, include_origin, take, gen))
+            done += take
+            batch_id += 1
+        return Estimate.from_accumulator(acc, rng.seed, "dpp-mc")
+
     key = ("dpp", d, q, include_origin, samples, rng.seed, rng.stream)
-    cached = _MC_CONSTANT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    acc = MeanAccumulator()
-    done = 0
-    batch_id = 0
-    while done < samples:
-        take = min(it.BATCH, samples - done)
-        gen = rng.split(batch_id).generator()
-        acc.add(_random_hull_volumes(d, q, include_origin, take, gen))
-        done += take
-        batch_id += 1
-    est = Estimate.from_accumulator(acc, rng.seed, "dpp-mc")
-    _MC_CONSTANT_CACHE[key] = est
-    return est
+    return _compute_once(_MC_CONSTANT_CACHE, key, compute)
 
 
 def c_const(n: int, k: int, j: int, samples: int, rng: RngStream) -> Estimate:
@@ -205,24 +224,23 @@ def bp_calibrate(n: int, s: int, samples: int, rng: RngStream) -> Estimate:
     """
     if not 1 <= s <= n - 1:
         raise PreconditionError("need 1 <= s <= n-1")
+
+    def compute() -> Estimate:
+        acc = MeanAccumulator()
+        done = 0
+        batch_id = 0
+        while done < samples:
+            take = min(it.BATCH, samples - done)
+            gen = rng.split(batch_id).generator()
+            acc.add(_random_hull_volumes(s, s, True, take, gen, power=float(n - s)))
+            done += take
+            batch_id += 1
+        inner = Estimate.from_accumulator(acc, rng.seed, "bp-mc")
+        scale = math.exp(s * log_omega(n) - s * log_omega(s))
+        return inner.inverted().scaled(scale)
+
     key = ("bp", n, s, samples, rng.seed, rng.stream)
-    cached = _MC_CONSTANT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    acc = MeanAccumulator()
-    done = 0
-    batch_id = 0
-    while done < samples:
-        take = min(it.BATCH, samples - done)
-        gen = rng.split(batch_id).generator()
-        acc.add(_random_hull_volumes(s, s, True, take, gen, power=float(n - s)))
-        done += take
-        batch_id += 1
-    inner = Estimate.from_accumulator(acc, rng.seed, "bp-mc")
-    scale = math.exp(s * log_omega(n) - s * log_omega(s))
-    est = inner.inverted().scaled(scale)
-    _MC_CONSTANT_CACHE[key] = est
-    return est
+    return _compute_once(_MC_CONSTANT_CACHE, key, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +325,12 @@ def reference_quermass(body: bd.ConvexBody, j: int, rng: RngStream,
     a run sees the identical reference value regardless of scheduling.
     """
     fp = bd.fingerprint(body)
-    key = (fp, j, samples, rng.seed)
-    cached = _REF_CACHE.get(key)
-    if cached is None:
+
+    def compute() -> Estimate:
         stream = RngStream(rng.seed).split_named(f"ref-{fp}-{j}-{samples}")
-        cached = it.quermass_estimate(body, j, samples, stream)
-        _REF_CACHE[key] = cached
-    return cached
+        return it.quermass_estimate(body, j, samples, stream)
+
+    return _compute_once(_REF_CACHE, (fp, j, samples, rng.seed), compute)
 
 
 def _section_quermass(section: bd.ConvexBody | None, j: int,
@@ -758,20 +775,8 @@ def dpp_spotcheck(body: bd.ConvexBody, d: int, q: int,
     comp = flat.complement()
     pts = bd.sample_uniform(body, samples * q, rng.split_named("tuples"))
     proj = (pts @ flat.basis).reshape(samples, q, d)
-    vols = np.empty(samples)
-    zero = np.zeros((1, d))
-    if d == 1:
-        hi = np.maximum(proj[:, :, 0].max(axis=1), 0.0)
-        lo = np.minimum(proj[:, :, 0].min(axis=1), 0.0)
-        vols = hi - lo
-    elif d == 2 and q == 2:
-        vols = 0.5 * np.abs(proj[:, 0, 0] * proj[:, 1, 1]
-                            - proj[:, 0, 1] * proj[:, 1, 0])
-    else:
-        for i in range(samples):
-            vols[i] = _hull_volume_or_zero(np.vstack([zero, proj[i]]), d)
     acc = MeanAccumulator()
-    acc.add(vols)
+    acc.add(_hull_volumes(proj, True))
     middle = Estimate.from_accumulator(acc, rng.seed, "marginal-mc")
 
     probe_pts = bd.sample_uniform(body, norm_probes, rng.split_named("probes"))
@@ -863,7 +868,8 @@ def bp_identity_check(body: bd.ConvexBody, s: int,
         raise PreconditionError("need 1 <= s <= n-1")
     p_est = bp_calibrate(n, s, constant_samples,
                          RngStream(rng.seed).split_named(f"bp-{n}-{s}"))
-    vals = np.empty(samples)
+    vols = np.empty(samples)
+    tuples = np.empty((samples, s, s))
     produced = 0
     attempts = 0
     while produced < samples:
@@ -878,12 +884,11 @@ def bp_identity_check(body: bd.ConvexBody, s: int,
         vol = bd.volume(section)
         if vol <= 0.0:
             continue
-        tup = bd.sample_uniform(section, s, sub.split_named("pts"))
-        hull_vol = _hull_volume_or_zero(np.vstack([np.zeros((1, s)), tup]), s)
-        vals[produced] = (vol ** s) * hull_vol ** (n - s)
+        vols[produced] = vol
+        tuples[produced] = bd.sample_uniform(section, s, sub.split_named("pts"))
         produced += 1
     acc = MeanAccumulator()
-    acc.add(vals)
+    acc.add(vols ** s * _hull_volumes(tuples, True) ** (n - s))
     inner = Estimate.from_accumulator(acc, rng.seed, "bp-mc")
     middle = inner.times(p_est)
     target = Estimate.exact(bd.volume(body) ** s)

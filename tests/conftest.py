@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quermass.core import RngStream
+from quermass.polytope import hull2d_indices
 
 
 @pytest.fixture
@@ -18,3 +19,12 @@ def within_sigma(estimate, target, sigmas=3.0, floor=0.0):
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+def shoelace_of_hull(points):
+    """Area through hull2d_indices and the plain shoelace, one row at a time."""
+    idx = hull2d_indices(points)
+    if len(idx) < 3:
+        return 0.0
+    x, y = points[idx, 0], points[idx, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))

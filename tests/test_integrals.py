@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import within_sigma
+from conftest import shoelace_of_hull, within_sigma
 from quermass import bodies as bd
+from quermass import grassmann as gr
 from quermass import integrals as it
+from quermass import polytope as pt
 from quermass.core import RngStream, gaussian_matrix, omega, orthonormalize
 
 
@@ -91,6 +93,35 @@ def test_kubota_matches_exact_boxes_n45(rng):
         for j in range(1, n):
             est = it.quermass_kubota(box, j, 20_000, rng.split(10 * n + j))
             assert within_sigma(est, it.quermass_exact(box, j))
+
+
+def box_corners(halfwidths):
+    n = len(halfwidths)
+    signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * n, indexing="ij")).reshape(n, -1).T
+    return signs * np.asarray(halfwidths)
+
+
+def test_kubota_planar_shadows_of_box_vpolytope(rng):
+    # W_2 of a 4-d box given by its 16 corners: planar shadows, compared
+    # with the elementary-symmetric closed form of the same box
+    half = np.array([0.5, 0.7, 1.0, 1.3])
+    target = it.quermass_exact(bd.box(np.zeros(4), half), 2)
+    est = it.quermass_kubota(bd.vpolytope(box_corners(half)), 2, 20_000, rng)
+    assert est.method == "kubota-mc"
+    assert within_sigma(est, target, sigmas=5.0)
+
+
+def test_planar_shadows_take_no_per_shadow_hull(rng, monkeypatch):
+    body = bd.vpolytope(np.random.default_rng(3).normal(size=(22, 4)))
+    bases = gr.haar_bases(4, 2, 300, rng)
+    proj = np.einsum("vn,cnm->cvm", bd._vrep(body), bases)
+    expected = [shoelace_of_hull(p) for p in proj]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-shadow planar hull")
+    monkeypatch.setattr(pt, "hull2d_indices", forbidden)
+    monkeypatch.setattr(pt, "convex_hull", forbidden)
+    np.testing.assert_allclose(it.projected_volumes(body, bases), expected, rtol=1e-12)
 
 
 def test_kubota_matches_exact_ellipsoid_volume_order(rng):

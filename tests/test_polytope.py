@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull as QhullReference
 
+from conftest import shoelace_of_hull
+from quermass import polytope as pt
 from quermass.core import RngStream, gaussian_matrix, orthonormalize
 from quermass.polytope import (
     CapabilityError,
@@ -14,6 +16,7 @@ from quermass.polytope import (
     halfspace_intersection_vertices,
     hull_volume,
     planar_intrinsics,
+    polygon_areas,
     vertex_enumeration,
     volume_and_centroid,
 )
@@ -254,3 +257,66 @@ def test_planar_degenerate_flagged(caplog):
     assert area == 0.0
     assert perim == pytest.approx(2 * math.sqrt(8), rel=1e-9)
     assert any("degenerate" in rec.message for rec in caplog.records)
+
+
+def regular_polygon(k, r, phase):
+    theta = phase + 2 * math.pi * np.arange(k) / k
+    return r * np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+def test_polygon_areas_regular_polygons_of_mixed_sizes():
+    # k-gons for k = 3..12 in one batch, padded to 12 points with the
+    # centre and repeated vertices, so the rows have different hull sizes
+    gen = np.random.default_rng(5)
+    rows, expected = [], []
+    for k in range(3, 13):
+        r = 0.5 + gen.uniform()
+        poly = regular_polygon(k, r, gen.uniform(0, 2 * math.pi)) + gen.normal(size=2)
+        pad = [poly.mean(axis=0)] + [poly[i % k] for i in range(12 - k - 1)]
+        rows.append(np.vstack([poly] + [np.atleast_2d(p) for p in pad])[:12])
+        expected.append(0.5 * k * math.sin(2 * math.pi / k) * r * r)
+    areas = polygon_areas(np.array(rows))
+    assert areas.shape == (10,)
+    np.testing.assert_allclose(areas, expected, rtol=1e-12)
+
+
+def test_polygon_areas_invariant_under_point_permutation():
+    gen = np.random.default_rng(6)
+    pts = gen.normal(size=(200, 9, 2))
+    pts[:, 5] = pts[:, 2]  # ties in the sort order as well
+    perm = np.array([gen.permutation(9) for _ in range(200)])
+    shuffled = np.take_along_axis(pts, perm[:, :, None], axis=1)
+    np.testing.assert_array_equal(polygon_areas(shuffled), polygon_areas(pts))
+
+
+def test_polygon_areas_degenerate_rows_are_zero():
+    t = np.linspace(-1.0, 2.0, 6)
+    rows = np.array([
+        np.zeros((6, 2)),                               # all equal
+        np.full((6, 2), 3.5),                           # all equal, off the origin
+        np.column_stack([t, 2.0 * t + 1.0]),            # collinear
+        np.column_stack([t, np.zeros(6)]),              # collinear, horizontal
+        np.column_stack([np.zeros(6), t]),              # collinear, vertical
+        [[0, 0], [1, 1], [0, 0], [1, 1], [0, 0], [1, 1]],  # two distinct points
+    ], dtype=float)
+    np.testing.assert_array_equal(polygon_areas(rows), np.zeros(6))
+    # fewer than three points per row, and an empty batch
+    np.testing.assert_array_equal(polygon_areas(np.ones((4, 2, 2))), np.zeros(4))
+    assert polygon_areas(np.empty((0, 5, 2))).shape == (0,)
+    with pytest.raises(ValueError):
+        polygon_areas(np.zeros((4, 5, 3)))
+
+
+@pytest.mark.parametrize("v", [3, 4, 7, 16, 40])
+def test_polygon_areas_match_per_row_hull(v):
+    gen = np.random.default_rng(100 + v)
+    pts = gen.normal(size=(300, v, 2)) * gen.uniform(0.1, 10.0, size=(300, 1, 1))
+    expected = [shoelace_of_hull(p) for p in pts]
+    np.testing.assert_allclose(polygon_areas(pts), expected, rtol=1e-12)
+
+
+def test_polygon_areas_chunks_agree(monkeypatch):
+    pts = np.random.default_rng(7).normal(size=(50, 8, 2))
+    whole = polygon_areas(pts)
+    monkeypatch.setattr(pt, "AREA_CHUNK", 7)
+    np.testing.assert_array_equal(polygon_areas(pts), whole)

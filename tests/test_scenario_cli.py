@@ -1,12 +1,17 @@
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quermass import bodies as bd
 from quermass import cli
+from quermass import integrals as it
 from quermass import scenario as sc
+from quermass import verify as vf
 from quermass.corpus import corpus
 from quermass.grassmann import sphere_directions
 
@@ -75,6 +80,79 @@ def test_scenario_validation_flags_and_ids():
     with pytest.raises(sc.ScenarioError) as err:
         sc.load_scenario({"seed": 1, "bodies": [], "checks": [{"check": "bogus"}]})
     assert any("unknown check" in e for e in err.value.errors)
+
+
+_CUBE_3D = {"type": "box", "dim": 3, "center": [0, 0, 0],
+            "halfwidths": [0.5, 0.5, 0.5], "flags": {"symmetric": True}}
+_PARAM_VALUES = (st.none() | st.booleans() | st.integers(-3, 5)
+                 | st.floats(allow_nan=True) | st.text(max_size=2)
+                 | st.lists(st.integers(0, 3), max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry=st.fixed_dictionaries(
+    {"check": st.sampled_from(sorted(sc.REGISTRY)) | st.text(max_size=4)
+     | st.integers() | st.lists(st.integers(), max_size=2)},
+    optional={name: _PARAM_VALUES
+              for name in ("k", "j", "N", "n", "samples", "sub_samples")}))
+def test_scenario_validation_fuzz(entry):
+    doc = {"seed": 1, "bodies": [_CUBE_3D], "checks": [entry]}
+    try:
+        scen = sc.load_scenario(doc)
+    except sc.ScenarioError as err:
+        for name in ("k", "j", "N", "samples"):
+            val = entry.get(name, 1)
+            if isinstance(val, bool) or not isinstance(val, int):
+                assert any(e.startswith(f"checks[0].{name}:") for e in err.errors)
+        return
+    params = scen.checks[0].params
+    for name in ("k", "j", "N", "samples", "sub_samples"):
+        if name in params:
+            assert type(params[name]) is int
+    assert params.get("samples", 1) >= 1
+
+
+def test_scenario_validation_names_field_path():
+    cases = [({"check": "crofton", "k": "1", "j": 0}, "checks[0].k"),
+             ({"check": "crofton", "k": 1, "j": 0, "samples": 0}, "checks[0].samples"),
+             ({"check": "crofton", "k": 1, "j": 0, "samples": -5}, "checks[0].samples"),
+             ({"check": "crofton", "k": 1.5, "j": 0}, "checks[0].k"),
+             ({"check": "crofton", "k": True, "j": 0}, "checks[0].k"),
+             ({"check": "dpp-spot", "k": 1, "N": 2.0}, "checks[0].N")]
+    for entry, path in cases:
+        with pytest.raises(sc.ScenarioError) as err:
+            sc.load_scenario({"seed": 1, "bodies": [_CUBE_3D], "checks": [entry]})
+        assert any(e.startswith(path + ":") for e in err.value.errors), err.value.errors
+
+
+def test_shared_reference_computed_once_across_threads(monkeypatch):
+    doc = {"seed": 4,
+           "bodies": [{"type": "vpolytope", "flags": {"centered": True},
+                       "vertices": (np.vstack([np.zeros(3), np.eye(3)])
+                                    - 0.25).tolist()}],
+           "checks": [{"check": "thm-1-1", "k": 1, "j": 1, "samples": 2},
+                      {"check": "crofton", "k": 1, "j": 1, "samples": 2}]}
+    original = it.quermass_estimate
+    calls = []
+    lock = threading.Lock()
+
+    def counted(body, j, *args, **kwargs):
+        if body is scen.bodies[0]:
+            with lock:
+                calls.append(j)
+            time.sleep(0.5)  # hold the key long enough for the other check
+        return original(body, j, *args, **kwargs)
+    monkeypatch.setattr(it, "quermass_estimate", counted)
+
+    texts = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QUERMASS_THREADS", threads)
+        monkeypatch.setattr(vf, "_REF_CACHE", {})
+        scen = sc.load_scenario(doc)
+        calls.clear()
+        texts[threads] = sc.reports_to_csv(sc.run_scenario(scen))
+        assert calls == [1], threads
+    assert texts["1"] == texts["2"]
 
 
 def test_scenario_empty_checks_ok():
