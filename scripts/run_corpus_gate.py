@@ -52,7 +52,7 @@ def main() -> int:
             if sc.validate_combination(body, check):
                 continue  # flag hypothesis not met (e.g. symmetric-only)
             rng = RngStream(args.seed).split_named(f"gate-{ci}-{bi}")
-            reports.append(sc._run_check(body, check, rng))
+            reports.append(sc.run_check(body, check, rng))
 
     print(sc.summary_table(reports))
     out = Path(args.out)

@@ -68,7 +68,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.samples is not None:
         params["samples"] = args.samples
     spec = sc.CheckSpec(check=args.check, params=params)
-    errors = []
+    errors = sc.param_problems(spec)
     for bi, body in enumerate(bodies):
         for problem in sc.validate_combination(body, spec):
             errors.append(f"bodies[{bi}] ({body.describe()}): {problem}")
@@ -79,7 +79,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = []
     for bi, body in enumerate(bodies):
         rng = RngStream(args.seed).split_named(f"check-0-body-{bi}")
-        reports.append(sc._run_check(body, spec, rng))
+        reports.append(sc.run_check(body, spec, rng))
     print(sc.summary_table(reports))
     if args.out:
         dest = sc.write_reports(reports, args.out, args.format)

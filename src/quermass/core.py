@@ -50,31 +50,6 @@ def binom(n: int, k: int) -> float:
     return math.exp(log_binom(n, k))
 
 
-@dataclass(frozen=True)
-class DimConstants:
-    """Constant tables for a fixed ambient dimension.
-
-    omega[d] is the d-ball volume for d = 0..n_max; log_binom_table[n, k]
-    holds log C(n, k) for 0 <= k <= n <= n_max.
-    """
-
-    n: int
-    omega: np.ndarray
-    log_binom_table: np.ndarray
-
-    @classmethod
-    def for_dim(cls, n: int, n_max: int = 16) -> "DimConstants":
-        if n < 1:
-            raise DomainError("ambient dimension must be >= 1")
-        n_max = max(n_max, n, 16)
-        om = np.array([omega(d) for d in range(n_max + 1)])
-        lb = np.full((n_max + 1, n_max + 1), -np.inf)
-        for nn in range(n_max + 1):
-            for kk in range(nn + 1):
-                lb[nn, kk] = log_binom(nn, kk)
-        return cls(n=n, omega=om, log_binom_table=lb)
-
-
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64

@@ -1,12 +1,7 @@
 """Haar sampling and coordinate handling on the Grassmannian.
 
-Subspaces are held as orthonormal bases.  Affine flats relative to a body
-are sampled per the translation decomposition of the flat measure: the
-linear part is Haar, the offset is uniform on the body's shadow in the
-orthogonal complement, and the shadow volume enters as an importance
-weight, so that E[weight * g(section)] estimates the flat integral of g.
-Offsets outside the shadow would contribute nothing, so they are never
-proposed.
+Subspaces are held as orthonormal bases; stacks of Haar bases come from
+one batched, sign-fixed QR.
 """
 from __future__ import annotations
 
@@ -14,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from quermass import bodies as bd
 from quermass.core import RngStream, gaussian_matrix
 
 
@@ -96,23 +90,3 @@ def sphere_directions(n: int, count: int, rng: RngStream) -> np.ndarray:
         nrm[small] = 1.0
     return g / nrm
 
-
-def sample_affine_flat(
-    body: bd.ConvexBody, n: int, k: int, rng: RngStream
-) -> tuple[Subspace, np.ndarray, float]:
-    """(F, x, weight): Haar F in G_{n,k}, x uniform on the shadow of the body
-    in F-perp (returned as an ambient vector), weight = shadow volume.
-
-    For any g on sections, E[weight * g(K cap (x + F))] equals the integral
-    of g over affine k-flats in the dx (x) times Haar (F) decomposition.
-    """
-    if body.dim != n:
-        raise ValueError("body dimension mismatch")
-    flat = haar_subspace(n, k, rng)
-    comp = flat.complement()
-    shadow = bd.project(body, comp.basis)
-    weight = bd.volume(shadow)
-    if weight <= 0.0:
-        raise bd.DegenerateBodyError("projection of the body has zero volume")
-    point = bd.sample_uniform(shadow, 1, rng.split_named("flat-offset"))[0]
-    return flat, comp.basis @ point, weight

@@ -13,7 +13,7 @@ Methods, kept deliberately independent so they can cross-validate:
   * spherical averaging of the support function for W_{n-1}.
 
 Estimators consume a fixed budget split into fixed-size batches, each batch
-drawing from its own derived stream; partial sums are reduced in batch
+drawing from its own derived stream (batched_mean); partial sums are reduced in batch
 order with compensated summation, so results are bit-reproducible for a
 given (seed, budget) regardless of scheduling.
 """
@@ -89,6 +89,15 @@ class Estimate:
 
     def inverted(self) -> "Estimate":
         return self.powered(-1.0)
+
+
+def batched_mean(samples: int, rng: RngStream, method: str, draw) -> Estimate:
+    """Mean of `samples` values of draw(take, stream), taken in batches of
+    at most BATCH values; batch i draws from rng.split(i)."""
+    acc = MeanAccumulator()
+    for batch_id, done in enumerate(range(0, samples, BATCH)):
+        acc.add(draw(min(BATCH, samples - done), rng.split(batch_id)))
+    return Estimate.from_accumulator(acc, rng.seed, method)
 
 
 @dataclass
@@ -195,16 +204,8 @@ def quermass_kubota(body: bd.ConvexBody, j: int, samples: int,
     if not 1 <= j <= n - 1:
         raise DomainError(f"kubota needs 1 <= j <= n-1, got j={j}")
     scale = math.exp(log_omega(n) - log_omega(n - j))
-    acc = MeanAccumulator()
-    done = 0
-    batch_id = 0
-    while done < samples:
-        take = min(BATCH, samples - done)
-        bases = gr.haar_bases(n, n - j, take, rng.split(batch_id))
-        acc.add(projected_volumes(body, bases))
-        done += take
-        batch_id += 1
-    est = Estimate.from_accumulator(acc, rng.seed, "kubota-mc")
+    est = batched_mean(samples, rng, "kubota-mc", lambda take, stream: projected_volumes(
+        body, gr.haar_bases(n, n - j, take, stream)))
     return est.scaled(scale)
 
 
@@ -220,16 +221,8 @@ def _support_values(body: bd.ConvexBody, directions: np.ndarray) -> np.ndarray:
 
 def mean_width(body: bd.ConvexBody, samples: int, rng: RngStream) -> Estimate:
     """Spherical average of the support function h_K."""
-    acc = MeanAccumulator()
-    done = 0
-    batch_id = 0
-    while done < samples:
-        take = min(BATCH, samples - done)
-        u = gr.sphere_directions(body.dim, take, rng.split(batch_id))
-        acc.add(_support_values(body, u))
-        done += take
-        batch_id += 1
-    return Estimate.from_accumulator(acc, rng.seed, "meanwidth")
+    return batched_mean(samples, rng, "meanwidth", lambda take, stream: _support_values(
+        body, gr.sphere_directions(body.dim, take, stream)))
 
 
 def meanwidth_quermass(body: bd.ConvexBody, samples: int, rng: RngStream) -> Estimate:
@@ -348,28 +341,6 @@ def quermass_estimate(body: bd.ConvexBody, j: int, samples: int = 2048,
     if j == body.dim - 1:
         return meanwidth_quermass(body, samples, rng)
     return quermass_kubota(body, j, samples, rng)
-
-
-MAX_ADAPTIVE_SAMPLES = 10_000_000
-
-
-def quermass_to_tolerance(body: bd.ConvexBody, j: int, rng: RngStream,
-                          rel_error: float = 0.005,
-                          start_samples: int = 2048,
-                          max_samples: int = MAX_ADAPTIVE_SAMPLES) -> Estimate:
-    """W_j with the budget doubled until the target relative error (or the
-    sample cap) is reached.  Exact routes return immediately."""
-    exact = quermass_exact(body, j)
-    if exact is not None:
-        return Estimate.exact(exact)
-    samples = start_samples
-    attempt = 0
-    while True:
-        est = quermass_estimate(body, j, samples, rng.split(attempt))
-        if est.std_error <= rel_error * abs(est.value) or samples >= max_samples:
-            return est
-        samples = min(2 * samples, max_samples)
-        attempt += 1
 
 
 def quermass_vector(body: bd.ConvexBody, rng: RngStream,

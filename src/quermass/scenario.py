@@ -2,11 +2,15 @@
 
 A scenario is a JSON document listing bodies (inline specs or corpus
 references), checks with their parameters and budgets, a seed, and an
-output destination.  Every (body, check) combination is validated against
-the check's preconditions before any sampling begins; validation errors
-carry field paths.  Execution dispatches checks to a fixed-size thread
-pool, but every check draws from a stream derived only from (seed, body
-index, check index), so reports are bit-identical for any worker count.
+output destination.  REGISTRY declares every check id once: its runner in
+`verify`, the parameters it takes and the runner keywords they become, its
+default budget, and its hypotheses.  Loading rejects parameters a check
+does not take and tests every (body, check) combination against the same
+hypotheses that the runner tests before it samples; validation errors
+carry field paths.  `run_check` runs one combination; the CLI and the
+corpus gate call it too.  Execution dispatches checks to a fixed-size
+thread pool, but every check draws from a stream derived only from (seed,
+body index, check index), so reports are bit-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ import io
 import json
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,137 +51,93 @@ class Scenario:
     out_format: str = "csv"
 
 
-# One entry per stable check identifier: the runner plus which parameters
-# it takes and the flag hypotheses it needs.
+# Scenario parameter -> runner keyword, for the families of checks below.
+_FLAT_AVERAGE = {"k": "k", "j": "j", "samples": "samples", "sub_samples": "sub_samples"}
+_FLAT_MAX = dict(_FLAT_AVERAGE, samples="flat_trials")
+_OFFSET_MAX = dict(_FLAT_AVERAGE, samples="x_samples")
+_HULL_POINTS = {"j": "j", "N": "big_n", "samples": "samples",
+                "sub_samples": "sub_samples"}
+
+
 @dataclass(frozen=True)
 class _CheckDef:
-    runner: object
-    needs_k: bool = False
-    needs_j: bool = False
-    needs_N: bool = False
-    symmetric: bool = False
-    centered: bool = False
-    kj_constrained: bool = True  # enforce 0 <= j <= n-k-1
-    default_samples: int = 10_000
+    """One stable check id: the verify function that runs it, the scenario
+    parameters it takes (and the runner keywords they become), keywords fixed
+    for this id, the `samples` used when a scenario gives none, and the
+    hypotheses that the runner tests again before it samples."""
+
+    runner: Callable[..., vf.CheckReport]
+    params: dict[str, str]
+    rules: vf.Hypotheses
+    default_samples: int | None = 10_000
+    fixed: dict = field(default_factory=dict)
+
+    def kwargs(self, params: dict) -> dict:
+        """Runner keywords for the scenario parameters `params`."""
+        out = dict(self.fixed)
+        if self.default_samples is not None:
+            out[self.params["samples"]] = self.default_samples
+        out.update((self.params[name], val) for name, val in params.items()
+                   if name in self.params)
+        return out
 
 
+_H = vf.HYPOTHESES
 REGISTRY: dict[str, _CheckDef] = {
-    "crofton": _CheckDef(vf.crofton_check, needs_k=True, needs_j=True),
-    "lemma-rs": _CheckDef(vf.lemma_rs_check, needs_k=True, needs_j=True,
-                          centered=True),
-    "thm-1-1": _CheckDef(vf.thm11_check, needs_k=True, needs_j=True,
-                         centered=True),
-    "cor-1-2": _CheckDef(vf.cor12_check, needs_k=True, needs_j=True,
-                         centered=True),
-    "thm-1-2": _CheckDef(vf.thm12_check, needs_k=True, needs_j=True,
-                         symmetric=True),
-    "thm-3-4": _CheckDef(vf.thm34_check, needs_k=True, needs_j=True,
-                         centered=True),
-    "spingarn": _CheckDef(vf.spingarn_check, needs_k=True, kj_constrained=False,
-                          default_samples=1),
-    "rs-lower": _CheckDef(vf.rs_lower_check, needs_k=True, symmetric=True,
-                          kj_constrained=False, default_samples=1),
-    "fradelizi": _CheckDef(vf.fradelizi_check, needs_k=True, centered=True,
-                           kj_constrained=False, default_samples=200),
-    "stephen-yaskin": _CheckDef(vf.stephen_yaskin_check, needs_k=True, needs_j=True,
-                                centered=True, default_samples=200),
-    "dpp-spot": _CheckDef(vf.dpp_spotcheck, needs_k=True, needs_N=True,
-                          kj_constrained=False, default_samples=20_000),
-    "thm-4-3": _CheckDef(vf.thm43_check, needs_k=True, needs_j=True,
-                         symmetric=True, default_samples=100_000),
-    "cor-4-7": _CheckDef(vf.cor47_check, needs_k=True, needs_j=True,
-                         centered=True, default_samples=100_000),
-    "bp-identity": _CheckDef(vf.bp_identity_check, needs_k=True,
-                             kj_constrained=False, default_samples=4000),
-    "thm-4-5": _CheckDef(vf.thm45_check, needs_k=True, needs_j=True,
-                         symmetric=True),
-    "cor-4-8": _CheckDef(vf.cor48_check, needs_k=True, needs_j=True,
-                         centered=True),
-    "thm-1-3": _CheckDef(vf.thm13_check, needs_k=True, needs_j=True,
-                         symmetric=True),
-    "thm-4-6": _CheckDef(vf.thm46_check, needs_j=True, needs_N=True,
-                         symmetric=True, kj_constrained=False,
-                         default_samples=100_000),
-    "thm-1-4-centered": _CheckDef(vf.thm46_centered_check, needs_j=True,
-                                  needs_N=True, centered=True,
-                                  kj_constrained=False, default_samples=100_000),
-    "aleksandrov": _CheckDef(vf.aleksandrov_suite, kj_constrained=False,
-                             default_samples=10_000),
-    "bm-quermass": _CheckDef(vf.bm_quermass_check, needs_j=True,
-                             kj_constrained=False, default_samples=10_000),
+    "crofton": _CheckDef(vf.crofton_check, _FLAT_AVERAGE, _H["crofton"]),
+    "lemma-rs": _CheckDef(vf.lemma_rs_check, _FLAT_AVERAGE, _H["lemma-rs"]),
+    "thm-1-1": _CheckDef(vf.thm11_check, _FLAT_AVERAGE, _H["thm-1-1"]),
+    "cor-1-2": _CheckDef(vf.cor12_check, _FLAT_MAX, _H["cor-1-2"]),
+    "thm-1-2": _CheckDef(vf.thm12_check, _FLAT_AVERAGE, _H["thm-1-2"]),
+    "thm-3-4": _CheckDef(vf.thm34_check, _FLAT_AVERAGE, _H["thm-3-4"]),
+    "spingarn": _CheckDef(vf.spingarn_check, {"k": "k"}, _H["spingarn"], None),
+    "rs-lower": _CheckDef(vf.rs_lower_check, {"k": "k"}, _H["rs-lower"], None),
+    "fradelizi": _CheckDef(vf.fradelizi_check, {"k": "k", "samples": "x_samples",
+                                                "sub_samples": "sub_samples"},
+                           _H["fradelizi"], 200),
+    "stephen-yaskin": _CheckDef(vf.stephen_yaskin_check, _OFFSET_MAX,
+                                _H["stephen-yaskin"], 200),
+    "dpp-spot": _CheckDef(vf.dpp_spotcheck, {"k": "d", "N": "q", "samples": "samples"},
+                          _H["dpp-spot"], 20_000),
+    "thm-4-3": _CheckDef(vf.thm43_check, _FLAT_AVERAGE, _H["thm-4-3"], 100_000),
+    "cor-4-7": _CheckDef(vf.thm43_check, _FLAT_AVERAGE, _H["cor-4-7"], 100_000,
+                         {"centered_variant": True}),
+    "bp-identity": _CheckDef(vf.bp_identity_check, {"k": "s", "samples": "samples"},
+                             _H["bp-identity"], 4000),
+    "thm-4-5": _CheckDef(vf.thm45_check, _FLAT_MAX, _H["thm-4-5"]),
+    "cor-4-8": _CheckDef(vf.thm45_check, _FLAT_MAX, _H["cor-4-8"],
+                         fixed={"centered_variant": True}),
+    "thm-1-3": _CheckDef(vf.thm13_check, _FLAT_MAX, _H["thm-1-3"]),
+    "thm-4-6": _CheckDef(vf.thm46_check, _HULL_POINTS, _H["thm-4-6"], 100_000),
+    "thm-1-4-centered": _CheckDef(vf.thm46_check, _HULL_POINTS,
+                                  _H["thm-1-4-centered"], 100_000,
+                                  {"centered_variant": True}),
+    "aleksandrov": _CheckDef(vf.aleksandrov_suite, {"samples": "samples"},
+                             _H["aleksandrov"]),
+    "bm-quermass": _CheckDef(vf.bm_quermass_check, {"j": "j", "samples": "samples"},
+                             _H["bm-quermass"]),
 }
+_REQUIRED = ("k", "j", "N")
 
 
 def validate_combination(body: bd.ConvexBody, spec: CheckSpec) -> list[str]:
     """Precondition problems for running one check on one body."""
-    errors = []
     cdef = REGISTRY.get(spec.check)
     if cdef is None:
         return [f"unknown check id {spec.check!r}"]
     n = body.dim
     p = spec.params
-    k = p.get("k")
-    j = p.get("j")
-    if cdef.needs_k and k is None:
-        errors.append("missing parameter k")
-    if cdef.needs_j and j is None:
-        errors.append("missing parameter j")
-    if cdef.needs_N and p.get("N") is None:
-        errors.append("missing parameter N")
+    errors = [f"missing parameter {name}" for name in _REQUIRED
+              if name in cdef.params and p.get(name) is None]
     if "n" in p and p["n"] != n:
         errors.append(f"parameter n={p['n']} does not match body dimension {n}")
-    if cdef.kj_constrained and k is not None and cdef.needs_j and j is not None:
-        if not (1 <= k <= n - 1 and 0 <= j <= n - k - 1):
-            errors.append(
-                f"need 1 <= k <= n-1 and 0 <= j <= n-k-1 (n={n}, k={k}, j={j})")
-    elif k is not None and not 1 <= k <= n - 1:
-        errors.append(f"need 1 <= k <= n-1 (n={n}, k={k})")
-    if spec.check == "thm-4-6" or spec.check == "thm-1-4-centered":
-        if p.get("N") is not None and p["N"] < n + 1:
-            errors.append(f"need N >= n+1 (n={n}, N={p['N']})")
-        if j is not None and not 0 <= j <= n - 1:
-            errors.append(f"need 0 <= j <= n-1 (n={n}, j={j})")
-    if spec.check == "bp-identity" and k is not None and not 1 <= k <= n - 1:
-        errors.append(f"need 1 <= s <= n-1 (n={n}, s={k})")
-    if cdef.symmetric and not body.flags.symmetric:
-        errors.append("body must be symmetric")
-    if cdef.centered and not body.flags.centered:
-        errors.append("body must be centered")
-    return errors
+    return errors + cdef.rules.problems(body, cdef.kwargs(p))
 
 
-def _run_check(body: bd.ConvexBody, spec: CheckSpec, rng: RngStream) -> vf.CheckReport:
+def run_check(body: bd.ConvexBody, spec: CheckSpec, rng: RngStream) -> vf.CheckReport:
+    """Run one validated check on one body, drawing from rng."""
     cdef = REGISTRY[spec.check]
-    p = dict(spec.params)
-    samples = p.pop("samples", cdef.default_samples)
-    sub_samples = p.pop("sub_samples", None)
-    kwargs = {}
-    if spec.check in ("crofton", "lemma-rs", "thm-1-1", "thm-1-2", "thm-3-4",
-                      "thm-4-3", "cor-4-7"):
-        kwargs = {"k": p["k"], "j": p["j"], "samples": samples}
-    elif spec.check in ("cor-1-2", "thm-4-5", "cor-4-8", "thm-1-3"):
-        kwargs = {"k": p["k"], "j": p["j"], "flat_trials": samples}
-    elif spec.check == "spingarn" or spec.check == "rs-lower":
-        kwargs = {"k": p["k"]}
-    elif spec.check == "fradelizi":
-        kwargs = {"k": p["k"], "x_samples": samples}
-    elif spec.check == "stephen-yaskin":
-        kwargs = {"k": p["k"], "j": p["j"], "x_samples": samples}
-    elif spec.check == "dpp-spot":
-        kwargs = {"d": p["k"], "q": p["N"], "samples": samples}
-    elif spec.check == "bp-identity":
-        kwargs = {"s": p["k"], "samples": samples}
-    elif spec.check in ("thm-4-6", "thm-1-4-centered"):
-        kwargs = {"j": p["j"], "big_n": p["N"], "samples": samples}
-    elif spec.check == "aleksandrov":
-        kwargs = {"samples": samples}
-    elif spec.check == "bm-quermass":
-        kwargs = {"j": p["j"], "samples": samples}
-    if sub_samples is not None and spec.check not in (
-            "spingarn", "rs-lower", "bp-identity", "aleksandrov", "bm-quermass",
-            "dpp-spot"):
-        kwargs["sub_samples"] = sub_samples
-    return cdef.runner(body, rng=rng, **kwargs)
+    return cdef.runner(body, rng=rng, **cdef.kwargs(spec.params))
 
 
 def _parse_bodies(raw_bodies: list, errors: list[str]) -> list[bd.ConvexBody]:
@@ -205,18 +166,23 @@ def _parse_bodies(raw_bodies: list, errors: list[str]) -> list[bd.ConvexBody]:
     return out
 
 
-_INT_PARAMS = ("k", "j", "N", "samples", "sub_samples")
+_INT_PARAMS = ("n", "k", "j", "N", "samples", "sub_samples")
 _BUDGET_PARAMS = ("samples", "sub_samples")
 
 
-def _param_problems(params: dict) -> list[str]:
-    """Integer parameters that are not integers, and budgets below 1."""
-    problems = []
-    for name in _INT_PARAMS:
-        if name not in params:
+def param_problems(spec: CheckSpec) -> list[str]:
+    """An unknown check id, parameters the check does not take, integer
+    parameters that are not integers, and budgets below 1, each as
+    "<field>: <problem>"."""
+    cdef = REGISTRY.get(spec.check) if isinstance(spec.check, str) else None
+    problems = [] if cdef else [f"check: unknown check id {spec.check!r}"]
+    for name, val in spec.params.items():
+        if cdef and name != "n" and name not in cdef.params:
+            taken = ", ".join(["n", *cdef.params])
+            problems.append(f"{name}: not a parameter of {spec.check} (takes {taken})")
+        elif name not in _INT_PARAMS:
             continue
-        val = params[name]
-        if isinstance(val, bool) or not isinstance(val, int):
+        elif isinstance(val, bool) or not isinstance(val, int):
             problems.append(f"{name}: must be an integer, got {val!r}")
         elif name in _BUDGET_PARAMS and val < 1:
             problems.append(f"{name}: must be >= 1, got {val}")
@@ -245,15 +211,13 @@ def load_scenario(source: str | dict) -> Scenario:
         if not isinstance(entry, dict) or "check" not in entry:
             errors.append(f"{path}: expected an object with a 'check' id")
             continue
-        cid = entry["check"]
-        params = {key: val for key, val in entry.items() if key != "check"}
-        problems = _param_problems(params)
-        if not isinstance(cid, str) or cid not in REGISTRY:
-            problems.insert(0, f"check: unknown check id {cid!r}")
+        spec = CheckSpec(check=entry["check"],
+                         params={key: val for key, val in entry.items() if key != "check"})
+        problems = param_problems(spec)
         if problems:
             errors.extend(f"{path}.{problem}" for problem in problems)
             continue
-        checks.append(CheckSpec(check=cid, params=params))
+        checks.append(spec)
     output = doc.get("output", {})
     out_path = output.get("path")
     out_format = output.get("format", "csv")
@@ -282,7 +246,7 @@ def run_scenario(scenario: Scenario) -> list[vf.CheckReport]:
     def work(job):
         ci, bi, spec, body, rng = job
         try:
-            return _run_check(body, spec, rng)
+            return run_check(body, spec, rng)
         except Exception as exc:  # isolate failing checks
             return vf.CheckReport(
                 check_id=spec.check, body=body.describe(), params=spec.params,

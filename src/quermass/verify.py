@@ -7,6 +7,10 @@ verdicts: pass/fail at three combined standard errors, with `inconclusive`
 reserved for bounds whose right-hand side is a sampled maximum (finite flat
 sampling cannot certify a violation of a max-based inequality).
 
+Each check first tests its hypotheses (HYPOTHESES, keyed by check id, which
+scenario validation reads too) and only then draws random numbers.  Haar
+flats come from one chunked iterator, _haar_flats.
+
 Section quermassintegrals are always computed in the flat's intrinsic
 dimension; conversions between ambient dimensions go through dim_convert.
 Monte Carlo constants (expected hull volumes over the ball, flat-measure
@@ -17,10 +21,12 @@ quadrature.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +56,90 @@ class CheckError(Exception):
 
 class PreconditionError(CheckError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# hypotheses, tested by each check before it samples and by scenario
+# validation before anything runs
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A condition on the ambient dimension n and some keywords of a check."""
+
+    text: str
+    names: tuple[str, ...]
+    holds: Callable[..., bool]
+
+    def problem(self, n: int, params: dict) -> str | None:
+        values = [params.get(name) for name in self.names]
+        if None in values or self.holds(n, *values):
+            return None
+        shown = ", ".join(f"{name}={val}" for name, val in
+                          zip(("n",) + self.names, [n] + values))
+        return f"need {self.text} ({shown})"
+
+
+def _proper(name: str) -> Rule:
+    """1 <= name <= n-1: the dimension of a proper nonzero subspace."""
+    return Rule(f"1 <= {name} <= n-1", (name,), lambda n, v: 1 <= v <= n - 1)
+
+
+K_RANGE, D_RANGE, S_RANGE = _proper("k"), _proper("d"), _proper("s")
+KJ_RANGE = Rule("1 <= k <= n-1 and 0 <= j <= n-k-1", ("k", "j"),
+                lambda n, k, j: 1 <= k <= n - 1 and 0 <= j <= n - k - 1)
+J_RANGE = Rule("0 <= j <= n-1", ("j",), lambda n, j: 0 <= j <= n - 1)
+N_POINTS = Rule("N >= n+1", ("big_n",), lambda n, big_n: big_n >= n + 1)
+Q_POSITIVE = Rule("q >= 1", ("q",), lambda n, q: q >= 1)
+
+
+@dataclass(frozen=True)
+class Hypotheses:
+    """The rules a check's keywords must meet and the flags its body must carry."""
+
+    rules: tuple[Rule, ...] = ()
+    symmetric: bool = False
+    centered: bool = False
+
+    def problems(self, body: bd.ConvexBody, params: dict) -> list[str]:
+        """Every unmet hypothesis; rules on keywords absent from params are skipped."""
+        out = [p for rule in self.rules if (p := rule.problem(body.dim, params))]
+        if self.symmetric and not body.flags.symmetric:
+            out.append("body must be symmetric")
+        if self.centered and not body.flags.centered:
+            out.append("body must be centered")
+        return out
+
+
+HYPOTHESES: dict[str, Hypotheses] = {
+    "crofton": Hypotheses((KJ_RANGE,)),
+    "lemma-rs": Hypotheses((KJ_RANGE,), centered=True),
+    "thm-1-1": Hypotheses((KJ_RANGE,), centered=True),
+    "cor-1-2": Hypotheses((KJ_RANGE,), centered=True),
+    "thm-1-2": Hypotheses((KJ_RANGE,), symmetric=True),
+    "thm-3-4": Hypotheses((KJ_RANGE,), centered=True),
+    "spingarn": Hypotheses((K_RANGE,)),
+    "rs-lower": Hypotheses((K_RANGE,), symmetric=True),
+    "fradelizi": Hypotheses((K_RANGE,), centered=True),
+    "stephen-yaskin": Hypotheses((KJ_RANGE,), centered=True),
+    "dpp-spot": Hypotheses((D_RANGE, Q_POSITIVE)),
+    "thm-4-3": Hypotheses((KJ_RANGE,), symmetric=True),
+    "cor-4-7": Hypotheses((KJ_RANGE,), centered=True),
+    "bp-identity": Hypotheses((S_RANGE,)),
+    "thm-4-5": Hypotheses((KJ_RANGE,), symmetric=True),
+    "cor-4-8": Hypotheses((KJ_RANGE,), centered=True),
+    "thm-1-3": Hypotheses((KJ_RANGE,), symmetric=True),
+    "thm-4-6": Hypotheses((N_POINTS, J_RANGE), symmetric=True),
+    "thm-1-4-centered": Hypotheses((N_POINTS, J_RANGE), centered=True),
+    "aleksandrov": Hypotheses(),
+    "bm-quermass": Hypotheses((J_RANGE,)),
+}
+
+
+def _require(check_id: str, body: bd.ConvexBody, **params) -> None:
+    problems = HYPOTHESES[check_id].problems(body, params)
+    if problems:
+        raise PreconditionError("; ".join(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +258,8 @@ def dpp_constant(d: int, q: int, include_origin: bool, samples: int,
         raise PreconditionError("need d <= q-1 without the origin")
 
     def compute() -> Estimate:
-        acc = MeanAccumulator()
-        done = 0
-        batch_id = 0
-        while done < samples:
-            take = min(it.BATCH, samples - done)
-            gen = rng.split(batch_id).generator()
-            acc.add(_random_hull_volumes(d, q, include_origin, take, gen))
-            done += take
-            batch_id += 1
-        return Estimate.from_accumulator(acc, rng.seed, "dpp-mc")
+        return it.batched_mean(samples, rng, "dpp-mc", lambda take, stream: (
+            _random_hull_volumes(d, q, include_origin, take, stream.generator())))
 
     key = ("dpp", d, q, include_origin, samples, rng.seed, rng.stream)
     return _compute_once(_MC_CONSTANT_CACHE, key, compute)
@@ -222,20 +304,14 @@ def bp_calibrate(n: int, s: int, samples: int, rng: RngStream) -> Estimate:
     E[|conv{0, X_1..X_s}|^{n-s}]) with X_i uniform in the unit s-ball.
     For s = 1 this closes to n omega_n / 2.
     """
-    if not 1 <= s <= n - 1:
-        raise PreconditionError("need 1 <= s <= n-1")
+    problem = S_RANGE.problem(n, {"s": s})
+    if problem:
+        raise PreconditionError(problem)
 
     def compute() -> Estimate:
-        acc = MeanAccumulator()
-        done = 0
-        batch_id = 0
-        while done < samples:
-            take = min(it.BATCH, samples - done)
-            gen = rng.split(batch_id).generator()
-            acc.add(_random_hull_volumes(s, s, True, take, gen, power=float(n - s)))
-            done += take
-            batch_id += 1
-        inner = Estimate.from_accumulator(acc, rng.seed, "bp-mc")
+        inner = it.batched_mean(samples, rng, "bp-mc", lambda take, stream: (
+            _random_hull_volumes(s, s, True, take, stream.generator(),
+                                 power=float(n - s))))
         scale = math.exp(s * log_omega(n) - s * log_omega(s))
         return inner.inverted().scaled(scale)
 
@@ -340,24 +416,52 @@ def _section_quermass(section: bd.ConvexBody | None, j: int,
     return it.quermass_estimate(section, j, sub_samples, rng).value
 
 
-def _require_flags(body: bd.ConvexBody, *, symmetric: bool = False,
-                   centered: bool = False) -> None:
-    if symmetric and not body.flags.symmetric:
-        raise PreconditionError("check requires a symmetric body")
-    if centered and not body.flags.centered:
-        raise PreconditionError("check requires a centered body")
+def _resolve_flat(check_id: str, body: bd.ConvexBody, k: int | None, flat,
+                  rng: RngStream, **params) -> tuple[int, gr.Subspace]:
+    """(k, F) for a check on one fixed flat: F as given, else a Haar k-flat
+    drawn only after the check's hypotheses hold."""
+    if flat is None and k is None:
+        raise PreconditionError("provide a flat or its dimension k")
+    if flat is not None and not isinstance(flat, gr.Subspace):
+        flat = gr.subspace_from_basis(flat)
+    k = k if k is not None else flat.k
+    _require(check_id, body, k=k, **params)
+    if flat is None:
+        flat = gr.haar_subspace(body.dim, k, rng.split_named("flat-choice"))
+    return k, flat
 
 
-def _require_kj(n: int, k: int, j: int) -> None:
-    if not (1 <= k <= n - 1 and 0 <= j <= n - k - 1):
-        raise PreconditionError(
-            f"need 1 <= k <= n-1 and 0 <= j <= n-k-1, got n={n}, k={k}, j={j}")
+FLAT_CHUNK = 512
 
 
-def _resolve_flat(body: bd.ConvexBody, k: int, flat, rng: RngStream) -> gr.Subspace:
-    if flat is not None:
-        return flat if isinstance(flat, gr.Subspace) else gr.subspace_from_basis(flat)
-    return gr.haar_subspace(body.dim, k, rng.split_named("flat-choice"))
+def _haar_flats(n: int, m: int, rng: RngStream, count: int | None = None,
+                limit: int | None = None):
+    """Haar m-dimensional subspaces of R^n; chunk c of at most FLAT_CHUNK
+    bases draws from rng.split(c).  With a count, exactly count flats, the
+    last chunk drawing only what remains; without, flats without end, and
+    CheckError instead of a chunk that would start past `limit` flats."""
+    for chunk_id in itertools.count():
+        start = chunk_id * FLAT_CHUNK
+        take = FLAT_CHUNK if count is None else min(FLAT_CHUNK, count - start)
+        if take <= 0:
+            return
+        if limit is not None and start > limit:
+            raise CheckError(f"rejected too many flats (more than {limit})")
+        for basis in gr.haar_bases(n, m, take, rng.split(chunk_id)):
+            yield gr.Subspace(n, m, basis)
+
+
+def _affine_flat(body: bd.ConvexBody, flat: gr.Subspace,
+                 gen: np.random.Generator) -> tuple[np.ndarray, float]:
+    """(x, weight): x uniform on the body's shadow in F-perp, as an ambient
+    vector, and weight the shadow's volume.  For any g on sections,
+    E[weight * g(K cap (x + F))] is the integral of g over the translates
+    of F, so with F Haar it is the integral over affine flats."""
+    comp = flat.complement()
+    shadow = bd.project(body, comp.basis)
+    weight = bd.volume(shadow)
+    y = bd.sample_uniform_with(shadow, 1, gen)[0]
+    return comp.basis @ y, weight
 
 
 # ---------------------------------------------------------------------------
@@ -371,26 +475,13 @@ def crofton_check(body: bd.ConvexBody, k: int, j: int,
     affine flats equals alpha_{n,k,j} W_j(K)."""
     started = time.perf_counter()
     n = body.dim
-    _require_kj(n, k, j)
-    m = n - k
+    _require("crofton", body, k=k, j=j)
     vals = np.empty(samples)
     offsets_gen = rng.split_named("offsets").generator()
-    done = 0
-    chunk_id = 0
-    while done < samples:
-        take = min(512, samples - done)
-        bases = gr.haar_bases(n, m, take, rng.split(chunk_id))
-        for t in range(take):
-            flat = gr.Subspace(n, m, bases[t])
-            comp = flat.complement()
-            shadow = bd.project(body, comp.basis)
-            weight = bd.volume(shadow)
-            y = bd.sample_uniform_with(shadow, 1, offsets_gen)[0]
-            section = bd.affine_section(body, flat, comp.basis @ y)
-            vals[done + t] = weight * _section_quermass(
-                section, j, sub_samples, rng.split(done + t))
-        done += take
-        chunk_id += 1
+    for i, flat in enumerate(_haar_flats(n, n - k, rng, samples)):
+        x, weight = _affine_flat(body, flat, offsets_gen)
+        section = bd.affine_section(body, flat, x)
+        vals[i] = weight * _section_quermass(section, j, sub_samples, rng.split(i))
     acc = MeanAccumulator()
     acc.add(vals)
     middle = Estimate.from_accumulator(acc, rng.seed, "flat-mc")
@@ -410,12 +501,7 @@ def lemma_rs_check(body: bd.ConvexBody, j: int, flat=None,
     fixed complement flat, against the central-section value."""
     started = time.perf_counter()
     n = body.dim
-    _require_flags(body, centered=True)
-    if flat is None and k is None:
-        raise PreconditionError("provide a flat or its dimension k")
-    k = k if k is not None else flat.k
-    _require_kj(n, k, j)
-    flat = _resolve_flat(body, k, flat, rng)
+    k, flat = _resolve_flat("lemma-rs", body, k, flat, rng, j=j)
     comp = flat.complement()
     shadow = bd.project(body, flat.basis)
     pvol = bd.volume(shadow)
@@ -455,23 +541,13 @@ def thm11_check(body: bd.ConvexBody, k: int, j: int,
     (n-k)-dimensional subspaces."""
     started = time.perf_counter()
     n = body.dim
-    _require_flags(body, centered=True)
-    _require_kj(n, k, j)
-    m = n - k
+    _require("thm-1-1", body, k=k, j=j)
     vals = np.empty(samples)
-    done = 0
-    chunk_id = 0
-    while done < samples:
-        take = min(512, samples - done)
-        bases = gr.haar_bases(n, m, take, rng.split(chunk_id))
-        for t in range(take):
-            flat = gr.Subspace(n, m, bases[t])
-            shadow = bd.project(body, flat.complement().basis)
-            section = bd.central_section(body, flat)
-            vals[done + t] = bd.volume(shadow) * _section_quermass(
-                section, j, sub_samples, rng.split(done + t))
-        done += take
-        chunk_id += 1
+    for i, flat in enumerate(_haar_flats(n, n - k, rng, samples)):
+        shadow = bd.project(body, flat.complement().basis)
+        section = bd.central_section(body, flat)
+        vals[i] = bd.volume(shadow) * _section_quermass(
+            section, j, sub_samples, rng.split(i))
     acc = MeanAccumulator()
     acc.add(vals)
     middle = Estimate.from_accumulator(acc, rng.seed, "flat-mc")
@@ -508,24 +584,15 @@ def _max_section_quermass(body: bd.ConvexBody, k: int, j: int, trials: int,
     best = -math.inf
     best_flat = None
     best_est: Estimate | None = None
-    done = 0
-    chunk_id = 0
-    while done < trials:
-        take = min(512, trials - done)
-        bases = gr.haar_bases(n, n - k, take, rng.split_named("max").split(chunk_id))
-        for t in range(take):
-            flat = gr.Subspace(n, n - k, bases[t])
-            section = bd.central_section(body, flat)
-            if section is None:
-                continue
-            est = it.quermass_estimate(section, j, sub_samples,
-                                       rng.split(done + t))
-            if est.value > best:
-                best = est.value
-                best_flat = flat
-                best_est = est
-        done += take
-        chunk_id += 1
+    for i, flat in enumerate(_haar_flats(n, n - k, rng.split_named("max"), trials)):
+        section = bd.central_section(body, flat)
+        if section is None:
+            continue
+        est = it.quermass_estimate(section, j, sub_samples, rng.split(i))
+        if est.value > best:
+            best = est.value
+            best_flat = flat
+            best_est = est
     if best_est is None:
         raise CheckError("all sampled sections were empty")
     return MaxOverFlats(best=best_est, best_subspace=best_flat, trials=trials)
@@ -538,8 +605,7 @@ def cor12_check(body: bd.ConvexBody, k: int, j: int,
     max approximated by sampling (pass is conservative-valid)."""
     started = time.perf_counter()
     n = body.dim
-    _require_flags(body, centered=True)
-    _require_kj(n, k, j)
+    _require("cor-1-2", body, k=k, j=j)
     sampled = _max_section_quermass(body, k, j, flat_trials, rng, sub_samples)
     wnk = reference_quermass(body, n - k, rng)
     middle = wnk.times(sampled.best)
@@ -561,26 +627,17 @@ def _ratio_flat_average(body: bd.ConvexBody, k: int, j: int, samples: int,
     n = body.dim
     guard = 1e-12 * bd.volume(body) ** ((n - k) / n)
     vals = np.empty(samples)
+    flats = _haar_flats(n, n - k, rng.split_named("ratio"), limit=20 * samples + 1024)
     i = 0
-    chunk_id = 0
     while i < samples:
-        if chunk_id * 512 > 20 * samples + 1024:
-            raise CheckError("section volume guard rejected too many flats")
-        bases = gr.haar_bases(n, n - k, 512, rng.split_named("ratio").split(chunk_id))
-        chunk_id += 1
-        for t in range(512):
-            if i >= samples:
-                break
-            flat = gr.Subspace(n, n - k, bases[t])
-            section = bd.central_section(body, flat)
-            if section is None:
-                continue
-            vol = bd.volume(section)
-            if vol <= guard:
-                continue
-            wj = _section_quermass(section, j, sub_samples, rng.split(i))
-            vals[i] = wj / vol
-            i += 1
+        section = bd.central_section(body, next(flats))
+        if section is None:
+            continue
+        vol = bd.volume(section)
+        if vol <= guard:
+            continue
+        vals[i] = _section_quermass(section, j, sub_samples, rng.split(i)) / vol
+        i += 1
     acc = MeanAccumulator()
     acc.add(vals)
     return Estimate.from_accumulator(acc, rng.seed, "ratio-mc")
@@ -593,8 +650,7 @@ def thm12_check(body: bd.ConvexBody, k: int, j: int,
     W_j(K)/|K|."""
     started = time.perf_counter()
     n = body.dim
-    _require_flags(body, symmetric=True)
-    _require_kj(n, k, j)
+    _require("thm-1-2", body, k=k, j=j)
     middle = _ratio_flat_average(body, k, j, samples, rng, sub_samples)
     alpha = alpha_const(n, k, j)
     ref = reference_quermass(body, j, rng).scaled(1.0 / bd.volume(body))
@@ -614,8 +670,7 @@ def thm34_check(body: bd.ConvexBody, k: int, j: int,
     constant and the max-section-inflated upper constant."""
     started = time.perf_counter()
     n = body.dim
-    _require_flags(body, centered=True)
-    _require_kj(n, k, j)
+    _require("thm-3-4", body, k=k, j=j)
     middle = _ratio_flat_average(body, k, j, samples, rng, sub_samples)
     beta = beta_thm34_const(n, k, j)
     gamma = gamma_thm34_const(n, k, j)
@@ -631,16 +686,11 @@ def thm34_check(body: bd.ConvexBody, k: int, j: int,
 
 
 def spingarn_check(body: bd.ConvexBody, k: int | None = None, flat=None,
-                   rng: RngStream = RngStream(0), **_) -> CheckReport:
+                   rng: RngStream = RngStream(0)) -> CheckReport:
     """|P_F K| |K cap F-perp| <= C(n,k) |K| for a fixed k-dimensional F."""
     started = time.perf_counter()
     n = body.dim
-    if flat is None and k is None:
-        raise PreconditionError("provide a flat or its dimension k")
-    k = k if k is not None else flat.k
-    if not 1 <= k <= n - 1:
-        raise PreconditionError("need 1 <= k <= n-1")
-    flat = _resolve_flat(body, k, flat, rng)
+    k, flat = _resolve_flat("spingarn", body, k, flat, rng)
     pv = bd.volume(bd.project(body, flat.basis))
     sec = bd.central_section(body, flat.complement())
     sv = bd.volume(sec) if sec is not None else 0.0
@@ -653,17 +703,11 @@ def spingarn_check(body: bd.ConvexBody, k: int | None = None, flat=None,
 
 
 def rs_lower_check(body: bd.ConvexBody, k: int | None = None, flat=None,
-                   rng: RngStream = RngStream(0), **_) -> CheckReport:
+                   rng: RngStream = RngStream(0)) -> CheckReport:
     """|K| <= |P_F K| |K cap F-perp| for symmetric bodies."""
     started = time.perf_counter()
     n = body.dim
-    _require_flags(body, symmetric=True)
-    if flat is None and k is None:
-        raise PreconditionError("provide a flat or its dimension k")
-    k = k if k is not None else flat.k
-    if not 1 <= k <= n - 1:
-        raise PreconditionError("need 1 <= k <= n-1")
-    flat = _resolve_flat(body, k, flat, rng)
+    k, flat = _resolve_flat("rs-lower", body, k, flat, rng)
     pv = bd.volume(bd.project(body, flat.basis))
     sec = bd.central_section(body, flat.complement())
     sv = bd.volume(sec) if sec is not None else 0.0
@@ -696,19 +740,13 @@ def _offset_section_max(body: bd.ConvexBody, flat: gr.Subspace, j: int,
 
 def fradelizi_check(body: bd.ConvexBody, k: int | None = None, flat=None,
                     x_samples: int = 200, rng: RngStream = RngStream(0),
-                    sub_samples: int = DEFAULT_SUB_SAMPLES, **_) -> CheckReport:
+                    sub_samples: int = DEFAULT_SUB_SAMPLES) -> CheckReport:
     """max_x |K cap (x + F-perp)| <= ((n+1)/(n-k+1))^(n-k) |K cap F-perp|
     for centered bodies; the max is sampled, so a pass is not a certificate
     of the true max (noted), while a fail is a genuine violation."""
     started = time.perf_counter()
     n = body.dim
-    _require_flags(body, centered=True)
-    if flat is None and k is None:
-        raise PreconditionError("provide a flat or its dimension k")
-    k = k if k is not None else flat.k
-    if not 1 <= k <= n - 1:
-        raise PreconditionError("need 1 <= k <= n-1")
-    flat = _resolve_flat(body, k, flat, rng)
+    k, flat = _resolve_flat("fradelizi", body, k, flat, rng)
     best, best_x = _offset_section_max(body, flat, 0, x_samples, rng, sub_samples)
     central = bd.central_section(body, flat.complement())
     cvol = bd.volume(central) if central is not None else 0.0
@@ -726,17 +764,12 @@ def fradelizi_check(body: bd.ConvexBody, k: int | None = None, flat=None,
 def stephen_yaskin_check(body: bd.ConvexBody, j: int, k: int | None = None,
                          flat=None, x_samples: int = 200,
                          rng: RngStream = RngStream(0),
-                         sub_samples: int = DEFAULT_SUB_SAMPLES, **_) -> CheckReport:
+                         sub_samples: int = DEFAULT_SUB_SAMPLES) -> CheckReport:
     """max_x W_j(K cap (x + F-perp)) <= ((n+1)/(n-k-j+1))^(n-k-j) times the
     central-section W_j, for centered bodies (sampled max, as above)."""
     started = time.perf_counter()
     n = body.dim
-    _require_flags(body, centered=True)
-    if flat is None and k is None:
-        raise PreconditionError("provide a flat or its dimension k")
-    k = k if k is not None else flat.k
-    _require_kj(n, k, j)
-    flat = _resolve_flat(body, k, flat, rng)
+    k, flat = _resolve_flat("stephen-yaskin", body, k, flat, rng, j=j)
     best, best_x = _offset_section_max(body, flat, j, x_samples, rng, sub_samples)
     central = bd.central_section(body, flat.complement())
     wc = it.quermass_estimate(central, j, 4 * sub_samples, rng.split_named("central"))
@@ -767,10 +800,7 @@ def dpp_spotcheck(body: bd.ConvexBody, d: int, q: int,
     right side, so a pass is conservative-valid."""
     started = time.perf_counter()
     n = body.dim
-    if not 1 <= d <= n - 1:
-        raise PreconditionError("need 1 <= d <= n-1")
-    if q < 1:
-        raise PreconditionError("need q >= 1")
+    _require("dpp-spot", body, d=d, q=q)
     flat = gr.haar_subspace(n, d, rng.split_named("marginal-flat"))
     comp = flat.complement()
     pts = bd.sample_uniform(body, samples * q, rng.split_named("tuples"))
@@ -830,11 +860,8 @@ def thm43_check(body: bd.ConvexBody, k: int, j: int,
     cancelled).  The centered variant attenuates the lower constant."""
     started = time.perf_counter()
     n = body.dim
-    if centered_variant:
-        _require_flags(body, centered=True)
-    else:
-        _require_flags(body, symmetric=True)
-    _require_kj(n, k, j)
+    check_id = "cor-4-7" if centered_variant else "thm-4-3"
+    _require(check_id, body, k=k, j=j)
     q = n - k
     middle, degenerate = _expected_subdim_hull_quermass(
         body, q, j, samples, rng, sub_samples)
@@ -845,16 +872,11 @@ def thm43_check(body: bd.ConvexBody, k: int, j: int,
     delta = delta_const(n, k, j)
     lower = c_est.times(wref)
     upper = wref.scaled(delta)
-    check_id = "cor-4-7" if centered_variant else "thm-4-3"
     return _finish(check_id, body.describe(), {"n": n, "k": k, "j": j, "N": samples},
                    lower, middle, upper,
                    {"c": c_est.value, "c_sigma": c_est.std_error, "delta": delta,
                     "W_{k+j}(K)": wref.value, "degenerate_tuples": degenerate},
                    rng.seed, started)
-
-
-def cor47_check(body: bd.ConvexBody, k: int, j: int, **kwargs) -> CheckReport:
-    return thm43_check(body, k, j, centered_variant=True, **kwargs)
 
 
 def bp_identity_check(body: bd.ConvexBody, s: int,
@@ -864,8 +886,7 @@ def bp_identity_check(body: bd.ConvexBody, s: int,
     product integral recovers |K|^s on an arbitrary body."""
     started = time.perf_counter()
     n = body.dim
-    if not 1 <= s <= n - 1:
-        raise PreconditionError("need 1 <= s <= n-1")
+    _require("bp-identity", body, s=s)
     p_est = bp_calibrate(n, s, constant_samples,
                          RngStream(rng.seed).split_named(f"bp-{n}-{s}"))
     vols = np.empty(samples)
@@ -908,27 +929,19 @@ def thm45_check(body: bd.ConvexBody, k: int, j: int,
     conservative-valid, a failed margin is inconclusive)."""
     started = time.perf_counter()
     n = body.dim
-    if centered_variant:
-        _require_flags(body, centered=True)
-    else:
-        _require_flags(body, symmetric=True)
-    _require_kj(n, k, j)
+    check_id = "cor-4-8" if centered_variant else "thm-4-5"
+    _require(check_id, body, k=k, j=j)
     sampled = _max_section_quermass(body, k, j, flat_trials, rng, sub_samples)
     wref = reference_quermass(body, k + j, rng)
     c_est = (cprime_const if centered_variant else c_const)(
         n, k, j, constant_samples, RngStream(rng.seed))
     lower = c_est.times(wref)
-    check_id = "cor-4-8" if centered_variant else "thm-4-5"
     return _finish(check_id, body.describe(),
                    {"n": n, "k": k, "j": j, "N": flat_trials},
                    lower, sampled.best, None,
                    {"c": c_est.value, "W_{k+j}(K)": wref.value},
                    rng.seed, started, inconclusive_on_lower_fail=True,
                    note="sampled max on the large side")
-
-
-def cor48_check(body: bd.ConvexBody, k: int, j: int, **kwargs) -> CheckReport:
-    return thm45_check(body, k, j, centered_variant=True, **kwargs)
 
 
 def thm13_check(body: bd.ConvexBody, k: int, j: int,
@@ -940,8 +953,7 @@ def thm13_check(body: bd.ConvexBody, k: int, j: int,
     own sub-margin."""
     started = time.perf_counter()
     n = body.dim
-    _require_flags(body, symmetric=True)
-    _require_kj(n, k, j)
+    _require("thm-1-3", body, k=k, j=j)
     sampled = _max_section_quermass(body, k, j, flat_trials, rng, sub_samples)
     middle = sampled.best.powered(float(n - j))
     wj = reference_quermass(body, j, rng)
@@ -974,14 +986,8 @@ def thm46_check(body: bd.ConvexBody, j: int, big_n: int,
     """c_{n,N,j} W_j(K) <= E[W_j(conv{x_1..x_N})], x_i uniform in K, N >= n+1."""
     started = time.perf_counter()
     n = body.dim
-    if centered_variant:
-        _require_flags(body, centered=True)
-    else:
-        _require_flags(body, symmetric=True)
-    if big_n < n + 1:
-        raise PreconditionError("need N >= n+1")
-    if not 0 <= j <= n - 1:
-        raise PreconditionError("need 0 <= j <= n-1")
+    check_id = "thm-1-4-centered" if centered_variant else "thm-4-6"
+    _require(check_id, body, j=j, big_n=big_n)
     pts = bd.sample_uniform(body, samples * big_n, rng.split_named("tuples"))
     tuples = pts.reshape(samples, big_n, n)
     vals = np.empty(samples)
@@ -1004,18 +1010,12 @@ def thm46_check(body: bd.ConvexBody, j: int, big_n: int,
     c_est = c46_const(n, big_n, j, constant_samples, RngStream(rng.seed),
                       centered=centered_variant)
     lower = c_est.times(wref)
-    check_id = "thm-1-4-centered" if centered_variant else "thm-4-6"
     return _finish(check_id, body.describe(),
                    {"n": n, "j": j, "N": big_n, "samples": samples},
                    lower, middle, None,
                    {"c": c_est.value, "W_j(K)": wref.value,
                     "degenerate_tuples": degenerate},
                    rng.seed, started)
-
-
-def thm46_centered_check(body: bd.ConvexBody, j: int, big_n: int, **kwargs
-                         ) -> CheckReport:
-    return thm46_check(body, j, big_n, centered_variant=True, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -1028,6 +1028,7 @@ def aleksandrov_suite(body: bd.ConvexBody, rng: RngStream = RngStream(0),
     vrad(K) <= Q_j <= mean support, all within three combined sigma."""
     started = time.perf_counter()
     n = body.dim
+    _require("aleksandrov", body)
     qv = it.quermass_vector(body, rng, samples)
     q_ests = []
     for j in range(1, n + 1):
@@ -1067,8 +1068,7 @@ def bm_quermass_check(body: bd.ConvexBody, other: bd.ConvexBody | None = None,
     W_j(K+D)^(1/(n-j)) >= W_j(K)^(1/(n-j)) + W_j(D)^(1/(n-j))."""
     started = time.perf_counter()
     n = body.dim
-    if not 0 <= j <= n - 1:
-        raise PreconditionError("need 0 <= j <= n-1")
+    _require("bm-quermass", body, j=j)
     if other is None:
         g = rng.split_named("partner").generator().standard_normal((10, n))
         other = bd.vpolytope(np.vstack([g, -g]), bd.Flags(symmetric=True))

@@ -196,8 +196,10 @@ def test_criterion_6_random_hull_bounds():
                 vf.thm43_check(sym[n], 1, j, samples=8000, rng=sub.split(0)),
                 vf.thm45_check(sym[n], 1, j, flat_trials=600, rng=sub.split(1)),
                 vf.thm13_check(sym[n], 1, j, flat_trials=600, rng=sub.split(2)),
-                vf.cor47_check(cen[n], 1, j, samples=8000, rng=sub.split(3)),
-                vf.cor48_check(cen[n], 1, j, flat_trials=600, rng=sub.split(4)),
+                vf.thm43_check(cen[n], 1, j, samples=8000, rng=sub.split(3),
+                               centered_variant=True),
+                vf.thm45_check(cen[n], 1, j, flat_trials=600, rng=sub.split(4),
+                               centered_variant=True),
             ]
             for rep in reports:
                 if rep.verdict in ("fail", "error"):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from quermass.core import (
     DegenerateInputError,
-    DimConstants,
     DomainError,
     MeanAccumulator,
     N_MAX,
@@ -52,12 +51,6 @@ def test_log_binom_symmetry(n, k):
 def test_log_binom_values():
     assert math.exp(log_binom(6, 2)) == pytest.approx(15.0, rel=1e-12)
     assert math.exp(log_binom(10, 5)) == pytest.approx(252.0, rel=1e-12)
-
-
-def test_dim_constants_tables():
-    dc = DimConstants.for_dim(4)
-    assert dc.omega[2] == pytest.approx(math.pi, rel=1e-12)
-    assert dc.log_binom_table[5, 2] == pytest.approx(math.log(10), rel=1e-12)
 
 
 def test_gaussian_matrix_deterministic():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from quermass import bodies as bd
 from quermass import grassmann as gr
 from quermass.core import RngStream, gaussian_matrix, orthonormalize
 
@@ -75,21 +74,3 @@ def test_sphere_directions(rng):
     u = gr.sphere_directions(3, 5000, rng)
     assert np.allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-12)
     assert np.abs(u.mean(axis=0)).max() < 4.0 / math.sqrt(3 * 5000) * 2
-
-
-def test_sample_affine_flat_ball(rng):
-    ball = bd.ball(np.zeros(3), 1.0)
-    for i in range(100):
-        flat, x, weight = gr.sample_affine_flat(ball, 3, 2, rng.split(i))
-        assert weight == pytest.approx(2.0, rel=1e-12)
-        assert np.linalg.norm(x) <= 1.0 + 1e-9
-        assert np.linalg.norm(flat.basis.T @ x) < 1e-9
-
-
-def test_sample_affine_flat_cube_mean_weight(rng):
-    cube = bd.box(np.zeros(3), np.full(3, 0.5), bd.Flags(symmetric=True))
-    weights = np.array([
-        gr.sample_affine_flat(cube, 3, 2, rng.split(i))[2] for i in range(4000)
-    ])
-    se = weights.std(ddof=1) / math.sqrt(len(weights))
-    assert abs(weights.mean() - 1.5) <= 3 * se

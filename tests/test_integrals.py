@@ -227,16 +227,6 @@ def test_rigid_motion_invariance(rng):
     assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error, b.std_error)
 
 
-def test_quermass_to_tolerance(rng):
-    cp = crosspoly(3)
-    est = it.quermass_to_tolerance(cp, 2, rng, rel_error=0.01,
-                                   start_samples=256)
-    assert est.std_error <= 0.01 * est.value
-    cube = centered_cube()
-    exact = it.quermass_to_tolerance(cube, 2, rng)
-    assert exact.method == "exact" and exact.std_error == 0.0
-
-
 def test_quermass_vector_methods_and_monotonicity(rng):
     cp = crosspoly(3)
     qv = it.quermass_vector(cp, rng, samples=20_000)

@@ -1,7 +1,12 @@
+import dataclasses
+import inspect
+import itertools
 import json
 import math
+import re
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from quermass import cli
 from quermass import integrals as it
 from quermass import scenario as sc
 from quermass import verify as vf
+from quermass.core import RngStream
 from quermass.corpus import corpus
 from quermass.grassmann import sphere_directions
 
@@ -118,11 +124,119 @@ def test_scenario_validation_names_field_path():
              ({"check": "crofton", "k": 1, "j": 0, "samples": -5}, "checks[0].samples"),
              ({"check": "crofton", "k": 1.5, "j": 0}, "checks[0].k"),
              ({"check": "crofton", "k": True, "j": 0}, "checks[0].k"),
-             ({"check": "dpp-spot", "k": 1, "N": 2.0}, "checks[0].N")]
+             ({"check": "dpp-spot", "k": 1, "N": 2.0}, "checks[0].N"),
+             ({"check": "spingarn", "k": 1, "n": "3"}, "checks[0].n")]
     for entry, path in cases:
         with pytest.raises(sc.ScenarioError) as err:
             sc.load_scenario({"seed": 1, "bodies": [_CUBE_3D], "checks": [entry]})
         assert any(e.startswith(path + ":") for e in err.value.errors), err.value.errors
+
+
+_BALL_3D = {"type": "ball", "dim": 3, "center": [0, 0, 0], "radius": 1.0,
+            "flags": {"symmetric": True}}
+
+
+def test_scenario_validation_rejects_out_of_range_n_and_j():
+    # both used to load and then end in an `error` verdict at run time
+    for entry, text in (({"check": "dpp-spot", "k": 1, "N": 0}, "q >= 1"),
+                        ({"check": "dpp-spot", "k": 1, "N": -2}, "q >= 1"),
+                        ({"check": "bm-quermass", "j": 3}, "0 <= j <= n-1"),
+                        ({"check": "bm-quermass", "j": -1}, "0 <= j <= n-1")):
+        with pytest.raises(sc.ScenarioError) as err:
+            sc.load_scenario({"seed": 1, "bodies": [_BALL_3D], "checks": [entry]})
+        assert any(e.startswith("checks[0]/bodies[0](") and text in e
+                   for e in err.value.errors), err.value.errors
+
+
+def test_scenario_validation_rejects_unused_parameters(capsys):
+    cases = [({"check": "spingarn", "k": 1, "sampels": 5, "sub_samples": 3},
+              ["sampels", "sub_samples"]),
+             ({"check": "crofton", "k": 1, "j": 0, "N": 4}, ["N"]),
+             ({"check": "fradelizi", "k": 1, "j": 0}, ["j"]),
+             ({"check": "aleksandrov", "sub_samples": 8}, ["sub_samples"])]
+    for entry, names in cases:
+        with pytest.raises(sc.ScenarioError) as err:
+            sc.load_scenario({"seed": 1, "bodies": [_CUBE_3D], "checks": [entry]})
+        for name in names:
+            assert any(e.startswith(f"checks[0].{name}: not a parameter")
+                       for e in err.value.errors), err.value.errors
+    ok = sc.load_scenario({"seed": 1, "bodies": [_CUBE_3D],
+                           "checks": [{"check": "spingarn", "k": 1, "n": 3}]})
+    assert ok.checks[0].params == {"k": 1, "n": 3}
+    rc = cli.main(["verify", "--check", "crofton", "--body", "corpus:balls",
+                   "--k", "1", "--j", "0", "--N", "4"])
+    assert rc == 2
+    assert "N: not a parameter of crofton" in capsys.readouterr().err
+
+
+def test_registry_entries_match_their_runners():
+    for cid, cdef in sc.REGISTRY.items():
+        assert cdef.runner.__name__
+        runner_params = inspect.signature(cdef.runner).parameters
+        for keyword in [*cdef.params.values(), *cdef.fixed, "rng"]:
+            assert keyword in runner_params, (cid, keyword)
+        assert cdef.rules is vf.HYPOTHESES[cid]
+        for rule in cdef.rules.rules:
+            assert set(rule.names) <= set(cdef.params.values()), (cid, rule.text)
+        assert (cdef.default_samples is None) == ("samples" not in cdef.params)
+    assert set(vf.HYPOTHESES) == set(sc.REGISTRY)
+    # the benchmark scales the Monte Carlo constants through this keyword
+    for cid in ("thm-4-3", "bp-identity", "thm-4-5", "thm-1-3", "thm-4-6"):
+        assert "constant_samples" in inspect.signature(sc.REGISTRY[cid].runner).parameters
+
+
+class _Sampled(Exception):
+    pass
+
+
+def _grid_bodies(n):
+    verts = np.vstack([np.zeros(n), np.eye(n)])
+    simplex = bd.vpolytope(verts - verts.mean(axis=0), bd.Flags(centered=True))
+    return (simplex.with_name(f"simplex-{n}d"),
+            bd.ball(np.zeros(n), 1.0, bd.Flags(symmetric=True)).with_name(f"ball-{n}d"))
+
+
+def test_preconditions_agree_between_validation_and_runners(monkeypatch):
+    def no_sampling(self):
+        raise _Sampled
+
+    first_accepted = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(RngStream, "generator", no_sampling)
+        for cid, cdef in sc.REGISTRY.items():
+            names = [name for name in ("k", "j", "N") if name in cdef.params]
+            for n in (2, 3, 4):
+                ranges = {"k": range(-1, n + 2), "j": range(-1, n + 1),
+                          "N": range(0, n + 3)}
+                for body in _grid_bodies(n):
+                    for values in itertools.product(*(ranges[m] for m in names)):
+                        spec = sc.CheckSpec(cid, dict(zip(names, values)))
+                        rejected = sc.validate_combination(body, spec)
+                        try:
+                            cdef.runner(body, rng=RngStream(0), **cdef.kwargs(spec.params))
+                        except vf.PreconditionError:
+                            assert rejected, (cid, body.describe(), spec.params)
+                            continue
+                        except _Sampled:
+                            pass
+                        assert not rejected, (cid, body.describe(), spec.params)
+                        first_accepted.setdefault(cid, (body, spec))
+    assert set(first_accepted) == set(sc.REGISTRY)
+    for cid, (body, spec) in first_accepted.items():
+        cdef = sc.REGISTRY[cid]
+        for name, budget in (("samples", 4), ("sub_samples", 16)):
+            if name in cdef.params:
+                spec.params[name] = budget
+        rep = sc.run_check(body, spec, RngStream(3))
+        assert rep.verdict != "error", (cid, rep.note)
+
+
+def test_readme_checks_table_lists_the_registry():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Checks", 1)[1].split("\n## ", 1)[0]
+    ids = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    assert len(ids) == len(set(ids))
+    assert set(ids) == set(sc.REGISTRY)
 
 
 def test_shared_reference_computed_once_across_threads(monkeypatch):
@@ -216,8 +330,7 @@ def test_errors_isolated_per_check(monkeypatch):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setitem(sc.REGISTRY, "thm-1-1",
-                        sc._CheckDef(boom, needs_k=True, needs_j=True,
-                                     centered=True))
+                        dataclasses.replace(sc.REGISTRY["thm-1-1"], runner=boom))
     reports = sc.run_scenario(scen)
     assert [r.verdict for r in reports[:3]] == ["error"] * 3
     assert all(r.verdict == "pass" for r in reports[3:])

@@ -120,6 +120,47 @@ def test_crofton_cube_two_sided(rng):
     assert abs(rep.margin_lower) < 3 and abs(rep.margin_upper) < 3
 
 
+def _crofton_flats(body, count, rng):
+    """crofton's per-flat path: (F, x, weight) for each Haar 2-flat of R^3."""
+    gen = rng.split_named("offsets").generator()
+    for flat in vf._haar_flats(3, 2, rng, count):
+        yield (flat, *vf._affine_flat(body, flat, gen))
+
+
+def test_crofton_affine_flat_ball(rng):
+    ball = bd.ball(np.zeros(3), 1.0)
+    for flat, x, weight in _crofton_flats(ball, 100, rng):
+        assert weight == pytest.approx(2.0, rel=1e-12)
+        assert np.linalg.norm(x) <= 1.0 + 1e-9
+        assert np.linalg.norm(flat.basis.T @ x) < 1e-9
+
+
+def test_crofton_affine_flat_cube_mean_weight(rng):
+    cube = bd.box(np.zeros(3), np.full(3, 0.5), bd.Flags(symmetric=True))
+    weights = np.array([w for _, _, w in _crofton_flats(cube, 4000, rng)])
+    se = weights.std(ddof=1) / math.sqrt(len(weights))
+    assert abs(weights.mean() - 1.5) <= 3 * se
+
+
+def test_haar_flats_prefix_of_full_chunks(rng):
+    # a short last chunk draws the leading bases of a full one, so a count
+    # and the open-ended rejection mode see the same flats
+    for n, m, count in ((3, 2, 7), (4, 1, 300), (6, 3, 511), (4, 2, 1), (3, 1, 1100)):
+        counted = [f.basis for f in vf._haar_flats(n, m, rng, count)]
+        endless = vf._haar_flats(n, m, rng)
+        assert len(counted) == count
+        for basis in counted:
+            assert np.array_equal(basis, next(endless).basis)
+
+
+def test_haar_flats_limit(rng):
+    flats = vf._haar_flats(3, 1, rng, limit=600)
+    for _ in range(2 * vf.FLAT_CHUNK):
+        next(flats)
+    with pytest.raises(vf.CheckError):
+        next(flats)
+
+
 def test_lemma_rs_ball_closed_forms(rng):
     flat = gr.subspace_from_basis(np.eye(3)[:, :1])
     rep = vf.lemma_rs_check(ball3(), 1, flat=flat, samples=3000, rng=rng)
@@ -258,8 +299,8 @@ def test_thm43_lower_constant_assembly(rng):
 
 
 def test_cor47_simplex(rng):
-    rep = vf.cor47_check(centered_simplex(), 1, 1, samples=8000, rng=rng,
-                         constant_samples=60_000)
+    rep = vf.thm43_check(centered_simplex(), 1, 1, samples=8000, rng=rng,
+                         constant_samples=60_000, centered_variant=True)
     assert rep.verdict == "pass"
 
 
@@ -275,8 +316,8 @@ def test_thm45_thm13_ball(rng):
 
 
 def test_cor48_simplex(rng):
-    rep = vf.cor48_check(centered_simplex(), 1, 1, flat_trials=200, rng=rng,
-                         constant_samples=60_000)
+    rep = vf.thm45_check(centered_simplex(), 1, 1, flat_trials=200, rng=rng,
+                         constant_samples=60_000, centered_variant=True)
     assert rep.verdict in ("pass", "inconclusive")
 
 
@@ -304,8 +345,8 @@ def test_thm46_cube_and_centered_variant(rng):
     rep = vf.thm46_check(cube, 1, 5, samples=6000, rng=rng,
                          constant_samples=60_000)
     assert rep.verdict == "pass"
-    rep2 = vf.thm46_centered_check(centered_simplex(), 0, 5, samples=6000,
-                                   rng=rng.split(1), constant_samples=60_000)
+    rep2 = vf.thm46_check(centered_simplex(), 0, 5, samples=6000, rng=rng.split(1),
+                          constant_samples=60_000, centered_variant=True)
     assert rep2.verdict == "pass"
 
 
