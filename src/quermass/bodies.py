@@ -195,7 +195,6 @@ def hpolytope(
         centre, inradius = _chebyshev(a, b)
         if centre is None or inradius <= 1e-9:
             raise DegenerateBodyError("halfspace intersection has empty interior")
-        body._cache["chebyshev"] = (centre, inradius)
     return body
 
 
@@ -210,6 +209,24 @@ def _chebyshev(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, float]:
     if res.status != 0:
         return None, -math.inf
     return res.x[:d], float(res.x[d])
+
+
+def _halfspace_vertices(a: np.ndarray, b: np.ndarray,
+                        min_inradius: float) -> np.ndarray:
+    """Vertices of the bounded {x : a x <= b}, rows of a unit vectors.
+
+    Few constraints (at most 64 in the plane, 24 above): enumerate the
+    vertices outright, no LP.  More: the Chebyshev centre is the interior
+    point of the dual hull, and a set whose inscribed radius is at most
+    min_inradius has no vertices, shape (0, d).
+    """
+    m, d = a.shape
+    if m <= (64 if d <= 2 else 24):
+        return pt.vertex_enumeration(a, b)
+    centre, inradius = _chebyshev(a, b)
+    if centre is None or inradius <= min_inradius:
+        return np.empty((0, d))
+    return pt.halfspace_intersection_vertices(a, b, centre)
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +282,7 @@ def _vrep(body: ConvexBody) -> np.ndarray:
             ).reshape(body.dim, -1).T
             verts = body.center + corners * body.halfwidths
         elif body.kind == "hpolytope":
-            interior = body._cache.get("chebyshev")
-            if interior is not None and len(body.offsets) > 24:
-                verts = pt.halfspace_intersection_vertices(
-                    body.normals, body.offsets, interior[0]
-                )
-            else:
-                verts = pt.vertex_enumeration(
-                    body.normals, body.offsets, check_bounded=False
-                )
+            verts = _halfspace_vertices(body.normals, body.offsets, 0.0)
             if len(verts) <= body.dim:
                 raise DegenerateBodyError("halfspace intersection has no interior")
         else:
@@ -366,19 +375,7 @@ def support_batch(body: ConvexBody, directions: np.ndarray) -> np.ndarray:
     if body.kind == "ellipsoid":
         quad = np.einsum("ij,jk,ik->i", u, body.shape, u)
         return u @ body.center + np.sqrt(np.maximum(quad, 0.0))
-    if body.kind == "vpolytope":
-        return (u @ body.vertices.T).max(axis=1)
-    # H-polytope: one LP per direction
-    out = np.empty(len(u))
-    for i, ui in enumerate(u):
-        res = linprog(-ui, A_ub=body.normals, b_ub=body.offsets,
-                      bounds=[(None, None)] * body.dim, method="highs")
-        if res.status == 3:
-            raise UnboundedBodyError("support is unbounded")
-        if res.status != 0:
-            raise BodyError(f"support LP failed with status {res.status}")
-        out[i] = -res.fun
-    return out
+    return (u @ _vrep(body).T).max(axis=1)
 
 
 def contains(body: ConvexBody, point, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -592,19 +589,7 @@ def affine_section(body: ConvexBody, subspace, offset_point) -> ConvexBody | Non
         sec._cache["hrep"] = (a_sec, b_sec)
         return sec
 
-    # Few constraints (or a planar flat): enumerate vertices outright, no LP.
-    if len(b_sec) <= (64 if k <= 2 else 24):
-        verts = pt.vertex_enumeration(a_sec, b_sec, check_bounded=False)
-        if len(verts) < k + 1 or pt.affine_rank(verts) < k:
-            return None
-        sec = vpolytope(verts, flags, validated=True)
-        sec._cache["hrep"] = (a_sec, b_sec)
-        return sec
-
-    centre, inradius = _chebyshev(a_sec, b_sec)
-    if centre is None or inradius <= 1e-12 * (1.0 + circumradius(body)):
-        return None
-    verts = pt.halfspace_intersection_vertices(a_sec, b_sec, centre)
+    verts = _halfspace_vertices(a_sec, b_sec, 1e-12 * (1.0 + circumradius(body)))
     if len(verts) < k + 1 or pt.affine_rank(verts) < k:
         return None
     sec = vpolytope(verts, flags, validated=True)
@@ -639,13 +624,7 @@ def _clip_codim1(body: ConvexBody, basis: np.ndarray, x: np.ndarray
     in basis coordinates: on-plane vertices plus crossed boundary edges."""
     q_full, _ = np.linalg.qr(basis, mode="complete")
     normal = q_full[:, -1]
-    if body.kind == "vpolytope":
-        verts = body.vertices
-    else:
-        verts = _vrep(body)
-    if body.dim > 2 and body.kind == "vpolytope" and body._cache.get("hull") is None \
-            and "tri_edges" not in body._cache:
-        _hull(body)  # also validates full dimension
+    verts = _vrep(body)
     scale = float(np.max(np.abs(verts))) + 1.0
     h = verts @ normal - normal @ x
     tol = 1e-12 * scale
@@ -671,11 +650,11 @@ def central_section(body: ConvexBody, subspace) -> ConvexBody | None:
 
 
 def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
-    """Vertex-sum hull of two polytope-like bodies (dim <= 5)."""
+    """Vertex-sum hull of two polytope-like bodies (dim <= pt.MAX_DIM)."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    if a.dim > 5:
-        raise CapabilityError("minkowski_sum supports dim <= 5")
+    if a.dim > pt.MAX_DIM:
+        raise CapabilityError(f"minkowski_sum supports dim <= {pt.MAX_DIM}")
     if a.kind in ("ball", "ellipsoid") or b.kind in ("ball", "ellipsoid"):
         raise CapabilityError("minkowski_sum needs polytope-like summands")
     va, vb = _vrep(a), _vrep(b)

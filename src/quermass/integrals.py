@@ -70,6 +70,13 @@ class Estimate:
     def from_accumulator(cls, acc: MeanAccumulator, seed: int, method: str) -> "Estimate":
         return cls(acc.mean(), acc.std_error(), acc.count, seed, method)
 
+    @classmethod
+    def from_values(cls, values: np.ndarray, seed: int, method: str) -> "Estimate":
+        """Sample mean and standard error of one array of values."""
+        acc = MeanAccumulator()
+        acc.add(values)
+        return cls.from_accumulator(acc, seed, method)
+
     def scaled(self, factor: float) -> "Estimate":
         return Estimate(self.value * factor, self.std_error * abs(factor),
                         self.samples, self.seed, self.method)
@@ -182,19 +189,7 @@ def projected_volumes(body: bd.ConvexBody, bases: np.ndarray) -> np.ndarray:
         for subset in _subset_indices(n, m):
             total += np.abs(np.linalg.det(gens[:, subset, :]))
         return (2.0 ** m) * total
-    verts = bd._vrep(body)
-    proj = np.einsum("vn,cnm->cvm", verts, bases)
-    if m == 1:
-        return proj[:, :, 0].max(axis=1) - proj[:, :, 0].min(axis=1)
-    if m == 2:
-        return pt.polygon_areas(proj)
-    out = np.empty(count)
-    for i in range(count):
-        try:
-            out[i] = pt.hull_volume(proj[i], m)
-        except pt.DegenerateHullError:
-            out[i] = 0.0
-    return out
+    return pt.hull_volumes(np.einsum("vn,cnm->cvm", bd._vrep(body), bases))
 
 
 def quermass_kubota(body: bd.ConvexBody, j: int, samples: int,
@@ -213,15 +208,9 @@ def quermass_kubota(body: bd.ConvexBody, j: int, samples: int,
 # mean width
 
 
-def _support_values(body: bd.ConvexBody, directions: np.ndarray) -> np.ndarray:
-    if body.kind == "hpolytope":
-        return (directions @ bd._vrep(body).T).max(axis=1)
-    return bd.support_batch(body, directions)
-
-
 def mean_width(body: bd.ConvexBody, samples: int, rng: RngStream) -> Estimate:
     """Spherical average of the support function h_K."""
-    return batched_mean(samples, rng, "meanwidth", lambda take, stream: _support_values(
+    return batched_mean(samples, rng, "meanwidth", lambda take, stream: bd.support_batch(
         body, gr.sphere_directions(body.dim, take, stream)))
 
 

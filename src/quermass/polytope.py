@@ -3,10 +3,11 @@
 Convex hulls with merged facet structure (Qhull in dimension >= 3, a
 monotone chain in the plane), combinatorial vertex enumeration of bounded
 halfspace intersections, fan-triangulation volumes and centroids, and exact
-planar area/perimeter.  polygon_areas takes a whole stack of planar point
-sets (shadows, random tuples) and runs the monotone chain on every row at
-once, so no per-row hull is built.  Everything is double precision;
-intended scale is dimension <= 6 and at most a few thousand points.
+planar area/perimeter.  hull_volumes is the one entry point for the hull
+volumes of a stack of point sets (shadows, random tuples): planar stacks go
+to polygon_areas, which runs the monotone chain on every row at once, so no
+per-row planar hull is built.  Everything is double precision; intended
+scale is dimension <= 6 and at most a few thousand points.
 
 No jitter is applied anywhere.  Qhull runs with scipy's default options and
 returns a triangulated boundary; ridge-adjacent simplices whose planes agree
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 logger = logging.getLogger(__name__)
@@ -41,10 +41,6 @@ class PolytopeError(Exception):
 
 class CapabilityError(PolytopeError):
     """Requested computation is outside the supported (dim, size) envelope."""
-
-
-class UnboundedError(PolytopeError):
-    """Halfspace intersection has a direction of recession."""
 
 
 class DegenerateHullError(PolytopeError):
@@ -379,6 +375,31 @@ def hull_volume(points: np.ndarray, dim: int | None = None) -> float:
     return volume_and_centroid(convex_hull(points, dim))[0]
 
 
+def hull_volumes(points: np.ndarray) -> np.ndarray:
+    """Volumes of the convex hulls of a stack of point sets.
+
+    points has shape (B, V, d); the result is (B,).  Rows of 1-d points give
+    their range, planar rows go through polygon_areas in one batch, and rows
+    of dimension >= 3 get one hull each; a row that does not span d
+    dimensions has volume 0.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 3:
+        raise ValueError("points must have shape (B, V, d)")
+    d = pts.shape[2]
+    if d == 1:
+        return pts[:, :, 0].max(axis=1) - pts[:, :, 0].min(axis=1)
+    if d == 2:
+        return polygon_areas(pts)
+    out = np.empty(len(pts))
+    for i, row in enumerate(pts):
+        try:
+            out[i] = hull_volume(row, d)
+        except DegenerateHullError:
+            out[i] = 0.0
+    return out
+
+
 def planar_intrinsics(vertices: np.ndarray) -> tuple[float, float]:
     """Exact (area, perimeter) of the convex hull of planar points.
 
@@ -402,31 +423,15 @@ def planar_intrinsics(vertices: np.ndarray) -> tuple[float, float]:
     return area, perim
 
 
-def _bounded_or_raise(a: np.ndarray, b: np.ndarray) -> None:
-    d = a.shape[1]
-    for i in range(d):
-        for sign in (1.0, -1.0):
-            c = np.zeros(d)
-            c[i] = -sign
-            res = linprog(c, A_ub=a, b_ub=b, bounds=[(None, None)] * d, method="highs")
-            if res.status == 3:
-                raise UnboundedError(f"unbounded along {'+' if sign > 0 else '-'}e_{i}")
-            if res.status == 2:
-                return  # infeasible: empty set, trivially bounded
-
-
-def vertex_enumeration(
-    normals: np.ndarray,
-    offsets: np.ndarray,
-    *,
-    tol: float = VERTEX_TOL,
-    check_bounded: bool = True,
-) -> np.ndarray:
-    """All vertices of {x : normals @ x <= offsets} by facet-subset solves.
+def vertex_enumeration(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """All vertices of a bounded {x : normals @ x <= offsets} by facet-subset
+    solves.
 
     Every dim-subset of constraints is solved as a square system; solutions
-    feasible within tol are kept and deduplicated at tol spacing.  Facet
-    count is capped (64, and 32 for dim >= 5) to keep the subset count sane.
+    feasible within VERTEX_TOL are kept and deduplicated at that spacing.
+    Facet count is capped (64, and 32 for dim >= 5) to keep the subset count
+    sane.  Boundedness is not checked: an unbounded set yields only the
+    vertices it has.
     """
     a = np.asarray(normals, dtype=float)
     b = np.asarray(offsets, dtype=float)
@@ -440,8 +445,6 @@ def vertex_enumeration(
         raise ValueError("zero normal row")
     a = a / nrm[:, None]
     b = b / nrm
-    if check_bounded:
-        _bounded_or_raise(a, b)
     combos = np.array(list(itertools.combinations(range(m), d)), dtype=int)
     sub = a[combos]
     rhs = b[combos]
@@ -450,11 +453,11 @@ def vertex_enumeration(
     if not ok.any():
         return np.empty((0, d))
     x = np.linalg.solve(sub[ok], rhs[ok][..., None])[..., 0]
-    feas = (x @ a.T <= b + tol).all(axis=1)
+    feas = (x @ a.T <= b + VERTEX_TOL).all(axis=1)
     if not feas.any():
         return np.empty((0, d))
     scale = float(np.max(np.abs(x[feas]))) + 1.0
-    return dedupe_points(x[feas], tol * scale)
+    return dedupe_points(x[feas], VERTEX_TOL * scale)
 
 
 def halfspace_intersection_vertices(

@@ -12,12 +12,11 @@ scenario validation reads too) and only then draws random numbers.  Haar
 flats come from one chunked iterator, _haar_flats.
 
 Section quermassintegrals are always computed in the flat's intrinsic
-dimension; conversions between ambient dimensions go through dim_convert.
-Monte Carlo constants (expected hull volumes over the ball, flat-measure
-calibration) and reference values are computed once per parameter tuple,
-under a per-key lock so that concurrent checks share one computation, and
-cached with their standard errors; downstream margins combine errors in
-quadrature.
+dimension.  Monte Carlo constants (expected hull volumes over the ball,
+flat-measure calibration) and reference values are computed once per
+parameter tuple, under a per-key lock so that concurrent checks share one
+computation, and cached with their standard errors; downstream margins
+combine errors in quadrature.
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ from quermass import bodies as bd
 from quermass import grassmann as gr
 from quermass import integrals as it
 from quermass import polytope as pt
-from quermass.core import MeanAccumulator, RngStream, log_binom, log_omega, omega
+from quermass.core import RngStream, log_binom, log_omega, omega
 from quermass.integrals import Estimate
 
 logger = logging.getLogger(__name__)
@@ -95,11 +94,13 @@ Q_POSITIVE = Rule("q >= 1", ("q",), lambda n, q: q >= 1)
 
 @dataclass(frozen=True)
 class Hypotheses:
-    """The rules a check's keywords must meet and the flags its body must carry."""
+    """The rules a check's keywords must meet, the flags its body must carry,
+    and whether the body must be a polytope."""
 
     rules: tuple[Rule, ...] = ()
     symmetric: bool = False
     centered: bool = False
+    polytope: bool = False
 
     def problems(self, body: bd.ConvexBody, params: dict) -> list[str]:
         """Every unmet hypothesis; rules on keywords absent from params are skipped."""
@@ -108,6 +109,8 @@ class Hypotheses:
             out.append("body must be symmetric")
         if self.centered and not body.flags.centered:
             out.append("body must be centered")
+        if self.polytope and body.kind not in ("box", "vpolytope", "hpolytope"):
+            out.append("body must be a polytope (box, V- or H-polytope)")
         return out
 
 
@@ -132,7 +135,7 @@ HYPOTHESES: dict[str, Hypotheses] = {
     "thm-4-6": Hypotheses((N_POINTS, J_RANGE), symmetric=True),
     "thm-1-4-centered": Hypotheses((N_POINTS, J_RANGE), centered=True),
     "aleksandrov": Hypotheses(),
-    "bm-quermass": Hypotheses((J_RANGE,)),
+    "bm-quermass": Hypotheses((J_RANGE,), polytope=True),
 }
 
 
@@ -210,25 +213,9 @@ def _compute_once(cache: dict, key: tuple, compute) -> Estimate:
 
 def _hull_volumes(x: np.ndarray, include_origin: bool) -> np.ndarray:
     """|conv({0}? union {x_1..x_q})| for each row of x, shape (count, q, d)."""
-    count, q, d = x.shape
-    if d == 1:
-        hi = x[:, :, 0].max(axis=1)
-        lo = x[:, :, 0].min(axis=1)
-        if include_origin:
-            hi = np.maximum(hi, 0.0)
-            lo = np.minimum(lo, 0.0)
-        return hi - lo
     if include_origin:
-        x = np.concatenate([np.zeros((count, 1, d)), x], axis=1)
-    if d == 2:
-        return pt.polygon_areas(x)
-    out = np.empty(count)
-    for i in range(count):
-        try:
-            out[i] = pt.hull_volume(x[i], d)
-        except pt.DegenerateHullError:
-            out[i] = 0.0
-    return out
+        x = np.concatenate([np.zeros((len(x), 1, x.shape[2])), x], axis=1)
+    return pt.hull_volumes(x)
 
 
 def _random_hull_volumes(d: int, q: int, include_origin: bool, count: int,
@@ -342,9 +329,6 @@ class CheckReport:
     seed: int = 0
     wall_time: float = 0.0
     details: dict = field(default_factory=dict)
-
-    def passed(self) -> bool:
-        return self.verdict in ("pass", "inconclusive")
 
 
 def _margin(diff: float, sigma: float, scale: float) -> float:
@@ -482,9 +466,7 @@ def crofton_check(body: bd.ConvexBody, k: int, j: int,
         x, weight = _affine_flat(body, flat, offsets_gen)
         section = bd.affine_section(body, flat, x)
         vals[i] = weight * _section_quermass(section, j, sub_samples, rng.split(i))
-    acc = MeanAccumulator()
-    acc.add(vals)
-    middle = Estimate.from_accumulator(acc, rng.seed, "flat-mc")
+    middle = Estimate.from_values(vals, rng.seed, "flat-mc")
     alpha = alpha_const(n, k, j)
     ref = reference_quermass(body, j, rng)
     rhs = ref.scaled(alpha)
@@ -514,9 +496,7 @@ def lemma_rs_check(body: bd.ConvexBody, j: int, flat=None,
         x = flat.basis @ ys[i]
         section = bd.affine_section(body, comp, x)
         vals[i] = _section_quermass(section, j, sub_samples, rng.split(i))
-    acc = MeanAccumulator()
-    acc.add(vals)
-    middle = Estimate.from_accumulator(acc, rng.seed, "offset-mc").scaled(pvol)
+    middle = Estimate.from_values(vals, rng.seed, "offset-mc").scaled(pvol)
     binom_inv = math.exp(-log_binom(n - j, k))
     sy = stephen_yaskin_factor(n, k, j)
     lower = wc.scaled(binom_inv * pvol)
@@ -548,9 +528,7 @@ def thm11_check(body: bd.ConvexBody, k: int, j: int,
         section = bd.central_section(body, flat)
         vals[i] = bd.volume(shadow) * _section_quermass(
             section, j, sub_samples, rng.split(i))
-    acc = MeanAccumulator()
-    acc.add(vals)
-    middle = Estimate.from_accumulator(acc, rng.seed, "flat-mc")
+    middle = Estimate.from_values(vals, rng.seed, "flat-mc")
     alpha = alpha_const(n, k, j)
     shrink = shrink_factor(n, k, j)
     big = math.exp(log_binom(n - j, k))
@@ -638,9 +616,7 @@ def _ratio_flat_average(body: bd.ConvexBody, k: int, j: int, samples: int,
             continue
         vals[i] = _section_quermass(section, j, sub_samples, rng.split(i)) / vol
         i += 1
-    acc = MeanAccumulator()
-    acc.add(vals)
-    return Estimate.from_accumulator(acc, rng.seed, "ratio-mc")
+    return Estimate.from_values(vals, rng.seed, "ratio-mc")
 
 
 def thm12_check(body: bd.ConvexBody, k: int, j: int,
@@ -805,9 +781,7 @@ def dpp_spotcheck(body: bd.ConvexBody, d: int, q: int,
     comp = flat.complement()
     pts = bd.sample_uniform(body, samples * q, rng.split_named("tuples"))
     proj = (pts @ flat.basis).reshape(samples, q, d)
-    acc = MeanAccumulator()
-    acc.add(_hull_volumes(proj, True))
-    middle = Estimate.from_accumulator(acc, rng.seed, "marginal-mc")
+    middle = Estimate.from_values(_hull_volumes(proj, True), rng.seed, "marginal-mc")
 
     probe_pts = bd.sample_uniform(body, norm_probes, rng.split_named("probes"))
     fmax = 0.0
@@ -845,9 +819,7 @@ def _expected_subdim_hull_quermass(body: bd.ConvexBody, q: int, j: int,
     if degenerate > 0.001 * samples:
         logger.warning("%d/%d degenerate tuples (tolerance bug?)",
                        degenerate, samples)
-    acc = MeanAccumulator()
-    acc.add(vals)
-    return Estimate.from_accumulator(acc, rng.seed, "tuple-mc"), degenerate
+    return Estimate.from_values(vals, rng.seed, "tuple-mc"), degenerate
 
 
 def thm43_check(body: bd.ConvexBody, k: int, j: int,
@@ -908,9 +880,8 @@ def bp_identity_check(body: bd.ConvexBody, s: int,
         vols[produced] = vol
         tuples[produced] = bd.sample_uniform(section, s, sub.split_named("pts"))
         produced += 1
-    acc = MeanAccumulator()
-    acc.add(vols ** s * _hull_volumes(tuples, True) ** (n - s))
-    inner = Estimate.from_accumulator(acc, rng.seed, "bp-mc")
+    inner = Estimate.from_values(vols ** s * _hull_volumes(tuples, True) ** (n - s),
+                                 rng.seed, "bp-mc")
     middle = inner.times(p_est)
     target = Estimate.exact(bd.volume(body) ** s)
     return _finish("bp-identity", body.describe(), {"n": n, "k": s, "N": samples},
@@ -1003,9 +974,7 @@ def thm46_check(body: bd.ConvexBody, j: int, big_n: int,
             continue
         vals[i] = it.quermass_estimate(hull_body, j, sub_samples,
                                        rng.split(i)).value
-    acc = MeanAccumulator()
-    acc.add(vals)
-    middle = Estimate.from_accumulator(acc, rng.seed, "tuple-mc")
+    middle = Estimate.from_values(vals, rng.seed, "tuple-mc")
     wref = reference_quermass(body, j, rng)
     c_est = c46_const(n, big_n, j, constant_samples, RngStream(rng.seed),
                       centered=centered_variant)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from conftest import unit
 from quermass import bodies as bd
 from quermass import grassmann as gr
-from quermass.core import RngStream
+from quermass.core import RngStream, orthonormalize
 
 
 def unit_cube(centered=False):
@@ -217,6 +218,34 @@ def test_sample_uniform_efficiency_error(rng):
     needle = bd.vpolytope(np.array([[0.0, 0.0], [1.0, 1.0], [1.0 + eps, 1.0 - eps]]))
     with pytest.raises(bd.SamplingEfficiencyError):
         bd.sample_uniform(needle, 10, rng)
+
+
+def test_hpolytope_rejects_unbounded():
+    with pytest.raises(bd.UnboundedBodyError):
+        bd.hpolytope(np.eye(2), np.ones(2))
+    with pytest.raises(bd.UnboundedBodyError):
+        bd.hpolytope(np.vstack([np.eye(3), -np.eye(3)[:2]]), np.ones(5))
+
+
+@pytest.mark.parametrize("n, facets", [(3, 80), (5, 40)])
+def test_derived_hpolytopes_keep_their_volume(n, facets):
+    # tangent halfspaces of the unit sphere: more facets than vertex
+    # enumeration takes, in bodies built without the constructor's checks
+    gen = RngStream(41, n).generator()
+    u = gen.standard_normal((facets, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    body = bd.hpolytope(u, np.ones(facets))
+    qhull = HalfspaceIntersection(np.hstack([u, -np.ones((facets, 1))]), np.zeros(n))
+    vol = bd.volume(body)
+    assert vol == pytest.approx(ConvexHull(qhull.intersections).volume, rel=1e-9)
+    q = orthonormalize(gen.standard_normal((n, n)))
+    derived = [(bd.translate(body, gen.standard_normal(n)), 1.0),
+               (bd.scale(body, 1.7), 1.7 ** n),
+               (bd.transform_orthogonal(body, q), 1.0),
+               (bd.translate_to_centered(body), 1.0)]
+    for image, factor in derived:
+        assert image.kind == "hpolytope"
+        assert bd.volume(image) == pytest.approx(factor * vol, rel=1e-9)
 
 
 def test_scale_homogeneity():

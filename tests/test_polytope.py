@@ -11,10 +11,10 @@ from quermass.core import RngStream, gaussian_matrix, orthonormalize
 from quermass.polytope import (
     CapabilityError,
     DegenerateHullError,
-    UnboundedError,
     convex_hull,
     halfspace_intersection_vertices,
     hull_volume,
+    hull_volumes,
     planar_intrinsics,
     polygon_areas,
     vertex_enumeration,
@@ -184,13 +184,6 @@ def test_vertex_enumeration_simplex_and_crosspoly():
     assert len(vertex_enumeration(signs, np.ones(8))) == 6
 
 
-def test_vertex_enumeration_unbounded():
-    a = np.eye(2)
-    b = np.ones(2)
-    with pytest.raises(UnboundedError):
-        vertex_enumeration(a, b)
-
-
 def test_vertex_enumeration_recovers_hull_vertices(rng):
     pts = rng.split(5).generator().standard_normal((20, 3))
     hull = convex_hull(pts)
@@ -206,7 +199,7 @@ def test_halfspace_intersection_matches_enumeration(rng):
     hull = convex_hull(pts)
     a, b = hull.facet_matrix()
     via_dual = halfspace_intersection_vertices(a, b, hull.interior_point)
-    via_combi = vertex_enumeration(a, b, check_bounded=False)
+    via_combi = vertex_enumeration(a, b)
     assert len(via_dual) == len(via_combi)
     assert hull_volume(via_dual) == pytest.approx(hull_volume(via_combi), rel=1e-9)
 
@@ -320,3 +313,40 @@ def test_polygon_areas_chunks_agree(monkeypatch):
     whole = polygon_areas(pts)
     monkeypatch.setattr(pt, "AREA_CHUNK", 7)
     np.testing.assert_array_equal(polygon_areas(pts), whole)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_hull_volumes_closed_forms(d):
+    # each shape twice: as given, and shifted with its points reversed
+    for corners, volume in ((cube_corners(d), 1.0),
+                            (simplex_corners(d), 1.0 / math.factorial(d))):
+        stack = np.stack([corners, corners[::-1] - 0.75])
+        assert hull_volumes(stack) == pytest.approx([volume, volume], rel=1e-12)
+
+
+def test_hull_volumes_one_dimensional_rows():
+    stack = np.array([[[0.5], [-1.0], [2.0]], [[3.0], [3.0], [3.0]]])
+    assert hull_volumes(stack).tolist() == [3.0, 0.0]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_hull_volumes_flat_rows_are_zero(d):
+    gen = RngStream(31, d).generator()
+    in_plane = gen.standard_normal((3, 12, d))
+    in_plane[..., -1] = 0.7  # every row inside a hyperplane
+    collinear = np.outer(gen.standard_normal(12), gen.standard_normal(d))[None]
+    repeated = np.broadcast_to(gen.standard_normal(d), (1, 12, d))
+    stack = np.concatenate([in_plane, collinear, repeated])
+    assert hull_volumes(stack).tolist() == [0.0] * 5
+    assert hull_volumes(in_plane[:, :d]).tolist() == [0.0] * 3  # d points
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_hull_volumes_mixed_stack_matches_per_row_hulls(d):
+    gen = RngStream(32, d).generator()
+    stack = gen.standard_normal((12, d + 6, d)) * gen.uniform(0.1, 3.0, (12, 1, 1))
+    stack[4, :, 0] = stack[4, :, 1]  # flat row
+    got = hull_volumes(stack)
+    assert got[4] == pytest.approx(0.0, abs=1e-12)
+    for i in set(range(12)) - {4}:
+        assert got[i] == pytest.approx(hull_volume(stack[i]), rel=1e-12)

@@ -148,6 +148,26 @@ def test_scenario_validation_rejects_out_of_range_n_and_j():
                    for e in err.value.errors), err.value.errors
 
 
+def test_bm_quermass_needs_a_polytope(monkeypatch):
+    # balls and ellipsoids used to load and then end in an `error` verdict
+    doc = {"seed": 1, "bodies": ["corpus:balls", "corpus:ellipsoids", _CUBE_3D],
+           "checks": [{"check": "bm-quermass", "j": 0}]}
+    with pytest.raises(sc.ScenarioError) as err:
+        sc.load_scenario(doc)
+    bodies = corpus("balls") + corpus("ellipsoids")
+    assert err.value.errors == [
+        f"checks[0]/bodies[{b}](bm-quermass on {body.describe()}): "
+        "body must be a polytope (box, V- or H-polytope)"
+        for b, body in enumerate(bodies)]
+
+    def no_sampling(self):
+        raise AssertionError("drew random numbers before the hypotheses held")
+    monkeypatch.setattr(RngStream, "generator", no_sampling)
+    for body in bodies:
+        with pytest.raises(vf.PreconditionError, match="must be a polytope"):
+            vf.bm_quermass_check(body, j=0, rng=RngStream(1))
+
+
 def test_scenario_validation_rejects_unused_parameters(capsys):
     cases = [({"check": "spingarn", "k": 1, "sampels": 5, "sub_samples": 3},
               ["sampels", "sub_samples"]),

@@ -386,6 +386,14 @@ def test_bm_quermass_pairs(rng):
             assert rep.verdict == "pass", (i, j, rep.margin_lower)
 
 
+def test_bm_quermass_six_cube():
+    # the sum of the cube and the 20-vertex default partner has 1,280 points
+    rep = vf.bm_quermass_check(centered_cube(6), j=0, rng=RngStream(9))
+    assert rep.verdict == "pass"
+    assert rep.constants["W_j(K)^e"] == pytest.approx(1.0, rel=1e-12)
+    assert rep.lower.value > rep.constants["W_j(D)^e"] > 0.0
+
+
 def test_scale_invariance_of_verdicts(rng):
     cube = centered_cube()
     doubled = bd.scale(cube, 2.0)
