@@ -21,6 +21,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
+from quermass import grassmann as gr
 from quermass import polytope as pt
 from quermass.core import RngStream, omega
 
@@ -44,10 +45,6 @@ class DegenerateBodyError(BodyError):
 
 class UnboundedBodyError(BodyError):
     pass
-
-
-class SamplingEfficiencyError(BodyError):
-    """Rejection sampling acceptance rate fell below the floor."""
 
 
 class Flags:
@@ -99,8 +96,11 @@ class ConvexBody:
 
 
 def _as_basis(subspace) -> np.ndarray:
-    basis = getattr(subspace, "basis", subspace)
-    b = np.asarray(basis, dtype=float)
+    """The orthonormal basis of a grassmann.Subspace as it is; a raw n x k
+    matrix from a caller is checked first."""
+    if isinstance(subspace, gr.Subspace):
+        return subspace.basis
+    b = np.asarray(subspace, dtype=float)
     if b.ndim != 2:
         raise ValueError("subspace basis must be an n x k matrix")
     gram = b.T @ b
@@ -211,22 +211,22 @@ def _chebyshev(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, float]:
     return res.x[:d], float(res.x[d])
 
 
-def _halfspace_vertices(a: np.ndarray, b: np.ndarray,
-                        min_inradius: float) -> np.ndarray:
-    """Vertices of the bounded {x : a x <= b}, rows of a unit vectors.
+def _halfspace_vertices(a: np.ndarray, b: np.ndarray, witness=None,
+                        slack_tol: float = 0.0,
+                        min_inradius: float = 0.0) -> np.ndarray:
+    """Vertices of the bounded {x : a x <= b}, rows of a unit vectors, from
+    the dual hull about an interior point.
 
-    Few constraints (at most 64 in the plane, 24 above): enumerate the
-    vertices outright, no LP.  More: the Chebyshev centre is the interior
-    point of the dual hull, and a set whose inscribed radius is at most
-    min_inradius has no vertices, shape (0, d).
+    That point is the witness when every slack there exceeds slack_tol;
+    otherwise, or without a witness, it is the Chebyshev centre, and a set
+    whose inscribed radius is at most min_inradius has no vertices, shape
+    (0, d).
     """
-    m, d = a.shape
-    if m <= (64 if d <= 2 else 24):
-        return pt.vertex_enumeration(a, b)
-    centre, inradius = _chebyshev(a, b)
-    if centre is None or inradius <= min_inradius:
-        return np.empty((0, d))
-    return pt.halfspace_intersection_vertices(a, b, centre)
+    if witness is None or np.min(b - a @ witness) <= slack_tol:
+        witness, inradius = _chebyshev(a, b)
+        if witness is None or inradius <= min_inradius:
+            return np.empty((0, a.shape[1]))
+    return pt.halfspace_intersection_vertices(a, b, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,7 @@ def _vrep(body: ConvexBody) -> np.ndarray:
             ).reshape(body.dim, -1).T
             verts = body.center + corners * body.halfwidths
         elif body.kind == "hpolytope":
-            verts = _halfspace_vertices(body.normals, body.offsets, 0.0)
+            verts = _halfspace_vertices(body.normals, body.offsets)
             if len(verts) <= body.dim:
                 raise DegenerateBodyError("halfspace intersection has no interior")
         else:
@@ -519,27 +519,34 @@ def project(body: ConvexBody, subspace) -> ConvexBody:
     sym = body.flags.symmetric
     flags = Flags(symmetric=sym, centered=sym)
     if body.kind == "ball":
-        return ball(basis.T @ body.center, body.radius, flags)
-    if body.kind == "ellipsoid":
-        return ellipsoid(basis.T @ body.center, basis.T @ body.shape @ basis, flags)
-    verts = _vrep(body) @ basis
-    return vpolytope(verts, flags)
+        shadow = ball(basis.T @ body.center, body.radius, flags)
+    elif body.kind == "ellipsoid":
+        shadow = ellipsoid(basis.T @ body.center, basis.T @ body.shape @ basis, flags)
+    else:
+        shadow = vpolytope(_vrep(body) @ basis, flags)
+    shadow._cache["source"] = (body, basis)
+    return shadow
 
 
-def affine_section(body: ConvexBody, subspace, offset_point) -> ConvexBody | None:
-    """K intersected with (x + F), in F-coordinates; None when empty.
+def affine_section(body: ConvexBody, subspace, point) -> ConvexBody | None:
+    """K intersected with the flat x + F through point, in F-coordinates;
+    None when empty.
 
-    offset_point must lie in the orthogonal complement of F.  Sections that
-    are degenerate (touching the boundary within tolerance) also return
-    None; estimators treat both as a zero contribution.
+    point may be any point of the flat (None: the origin).  Its part x
+    orthogonal to F is the offset, and a section point z has coordinates
+    basis^T z.  A polytope section of codimension >= 2 takes its vertices
+    from the dual hull about point itself when point lies inside K with
+    slack to spare (a lift from sample_lifted_with does), else about the
+    section's Chebyshev centre.  Sections that are degenerate (touching the
+    boundary within tolerance) also return None; estimators treat both as a
+    zero contribution.
     """
     basis = _as_basis(subspace)
     n, k = basis.shape
     if n != body.dim:
         raise ValueError("subspace lives in the wrong ambient dimension")
-    x = np.zeros(n) if offset_point is None else np.asarray(offset_point, dtype=float)
-    if np.linalg.norm(basis.T @ x) > 1e-8 * (1.0 + np.linalg.norm(x)):
-        raise ValueError("offset point must lie in the orthogonal complement")
+    p = np.zeros(n) if point is None else np.asarray(point, dtype=float)
+    x = p - basis @ (basis.T @ p)
 
     central = np.allclose(x, 0.0)
     sym = body.flags.symmetric and central
@@ -589,7 +596,9 @@ def affine_section(body: ConvexBody, subspace, offset_point) -> ConvexBody | Non
         sec._cache["hrep"] = (a_sec, b_sec)
         return sec
 
-    verts = _halfspace_vertices(a_sec, b_sec, 1e-12 * (1.0 + circumradius(body)))
+    scale = 1.0 + circumradius(body)
+    verts = _halfspace_vertices(a_sec, b_sec, basis.T @ p, 1e-9 * scale,
+                                1e-12 * scale)
     if len(verts) < k + 1 or pt.affine_rank(verts) < k:
         return None
     sec = vpolytope(verts, flags, validated=True)
@@ -671,7 +680,7 @@ def sample_uniform(body: ConvexBody, count: int, rng: RngStream) -> np.ndarray:
     """count independent uniform points in the body.
 
     Balls, boxes and ellipsoids use closed-form transforms; polytopes use
-    rejection from the bounding box with acceptance-rate tracking.
+    one exact draw from the fan of their hull's boundary simplices.
     """
     return sample_uniform_with(body, count, rng.generator())
 
@@ -695,28 +704,58 @@ def sample_uniform_with(body: ConvexBody, count: int,
         if body.kind == "ball":
             return body.center + body.radius * zb
         return body.center + zb @ body._cache["chol"].T
-    lo, hi = bbox(body)
-    a, bvec = _hrep(body)
-    out = np.empty((count, n))
-    got = 0
-    proposals = 0
-    accepted = 0
-    batch = max(4096, 2 * count)
-    while got < count:
-        u = gen.uniform(size=(batch, n)) * (hi - lo) + lo
-        ok = (u @ a.T <= bvec + MEMBERSHIP_TOL).all(axis=1)
-        proposals += batch
-        accepted += int(ok.sum())
-        take = min(count - got, int(ok.sum()))
-        out[got : got + take] = u[ok][:take]
-        got += take
-        if proposals >= 100_000 and accepted < 1e-4 * proposals:
-            raise SamplingEfficiencyError(
-                f"acceptance rate {accepted / proposals:.2e} below 1e-4; "
-                "precondition the body first"
-            )
-    body._cache["acceptance_rate"] = accepted / proposals
-    return out
+    hull = _hull(body)
+    return _fan_draw(hull, hull.interior_point, count, gen)
+
+
+def _fan_draw(hull: pt.HullComplex, apex: np.ndarray, count: int,
+              gen: np.random.Generator, lift=None) -> np.ndarray:
+    """count uniform points of the hull, or with lift = (a, v) the same
+    mixes of a in place of the apex and of row i of v in place of hull
+    vertex i.
+
+    The boundary simplices coned from an interior apex tile the hull: pick
+    a cone with probability proportional to its volume, then mix its
+    vertices with normalised exponential weights, a Dirichlet(1, ..., 1)
+    draw, which is uniform in a simplex (Devroye 1986, XI.2).
+    """
+    cones = np.cumsum(np.abs(np.linalg.det(hull.vertices[hull.simplices] - apex)))
+    pick = np.searchsorted(cones, gen.random(count) * cones[-1], side="right")
+    w = gen.standard_exponential((count, hull.dim + 1))
+    w /= w.sum(axis=1, keepdims=True)
+    top, corners = (apex, hull.vertices) if lift is None else lift
+    rows = hull.simplices[np.minimum(pick, len(cones) - 1)]
+    return w[:, :1] * top + np.einsum("ij,ijk->ik", w[:, 1:], corners[rows])
+
+
+def sample_lifted_with(shadow: ConvexBody, count: int,
+                       gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(y, p): count uniform points y of a shadow made by project(body, F),
+    in F-coordinates, and for each a point p of body with basis^T p = y.
+
+    p is the point to section the body through along F-perp.  For a
+    polytope, p mixes the body's vertex mean c and the vertices above the
+    drawn fan simplex with the weights of y over P c and that simplex, so p
+    lies strictly inside the body.  For a ball or an ellipsoid, p is the
+    centre of the fibre through y.
+    """
+    body, basis = shadow._cache["source"]
+    if body.kind in ("ball", "ellipsoid"):
+        ys = sample_uniform_with(shadow, count, gen)
+        rel = ys - shadow.center
+        if body.kind == "ellipsoid":
+            rel = np.linalg.solve(shadow.shape, rel.T).T @ (body.shape @ basis).T
+        else:
+            rel = rel @ basis.T
+        return ys, body.center + rel
+    verts = _vrep(body)
+    centre = verts.mean(axis=0)
+    hull = _hull(shadow)
+    # hull vertices are projected body vertices: find the one above each
+    dist = ((hull.vertices[:, None, :] - (verts @ basis)[None]) ** 2).sum(axis=2)
+    above = verts[np.argmin(dist, axis=1)]
+    lifts = _fan_draw(hull, centre @ basis, count, gen, (centre, above))
+    return lifts @ basis, lifts
 
 
 def distance_batch(body: ConvexBody, points: np.ndarray) -> np.ndarray:

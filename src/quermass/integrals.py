@@ -277,24 +277,7 @@ def quermass_steiner_fit(
 
 
 # ---------------------------------------------------------------------------
-# ambient-dimension conversion and sub-dimensional hulls
-
-
-def dim_convert(value: float, n: int, k: int, j: int, inverse: bool = False) -> float:
-    """Convert W_j taken in dimension n-k into W_{k+j} taken in dimension n.
-
-    For a convex set inside an (n-k)-dimensional subspace,
-    W^{(n)}_{k+j} = [omega_{k+j} C(n-k, j) / (omega_j C(n, k+j))] W^{(n-k)}_j.
-    The factor is assembled in log space; inverse=True divides instead.
-    """
-    if k < 0 or j < 0 or j > n - k or k + j > n or (k + j == 0 and k > 0):
-        raise DomainError(f"invalid conversion (n={n}, k={k}, j={j})")
-    if k == 0:
-        return value
-    log_factor = (log_omega(k + j) + log_binom(n - k, j)
-                  - log_omega(j) - log_binom(n, k + j))
-    factor = math.exp(log_factor)
-    return value / factor if inverse else value * factor
+# sub-dimensional hulls
 
 
 def quermass_subdim(points: np.ndarray, j: int, sub_samples: int,

@@ -1,9 +1,9 @@
 """Exact low-dimensional polytope computations.
 
 Convex hulls with merged facet structure (Qhull in dimension >= 3, a
-monotone chain in the plane), combinatorial vertex enumeration of bounded
-halfspace intersections, fan-triangulation volumes and centroids, and exact
-planar area/perimeter.  hull_volumes is the one entry point for the hull
+monotone chain in the plane), the vertices of bounded halfspace
+intersections from the dual hull about an interior point,
+fan-triangulation volumes and centroids, and exact planar area/perimeter.  hull_volumes is the one entry point for the hull
 volumes of a stack of point sets (shadows, random tuples): planar stacks go
 to polygon_areas, which runs the monotone chain on every row at once, so no
 per-row planar hull is built.  Everything is double precision; intended
@@ -15,7 +15,6 @@ within MERGE_TOL form one facet, so a cube has 6 facets.
 """
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -104,19 +103,6 @@ class HullComplex:
         dets = np.linalg.det(gram)
         np.maximum(dets, 0.0, out=dets)
         return float(np.sum(np.sqrt(dets))) / math.factorial(self.dim - 1)
-
-    def edge_count(self) -> int:
-        """Number of edges; primarily for the 3-d Euler check V - E + F = 2."""
-        if self.dim != 3:
-            raise CapabilityError("edge_count is only defined for dim 3")
-        sets = [frozenset(f.vertex_ids) for f in self.facets]
-        edges = set()
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                common = sets[i] & sets[j]
-                if len(common) >= 2:
-                    edges.add(frozenset(common))
-        return len(edges)
 
 
 def affine_rank(points: np.ndarray, rtol: float = RANK_RTOL) -> int:
@@ -423,51 +409,14 @@ def planar_intrinsics(vertices: np.ndarray) -> tuple[float, float]:
     return area, perim
 
 
-def vertex_enumeration(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """All vertices of a bounded {x : normals @ x <= offsets} by facet-subset
-    solves.
-
-    Every dim-subset of constraints is solved as a square system; solutions
-    feasible within VERTEX_TOL are kept and deduplicated at that spacing.
-    Facet count is capped (64, and 32 for dim >= 5) to keep the subset count
-    sane.  Boundedness is not checked: an unbounded set yields only the
-    vertices it has.
-    """
-    a = np.asarray(normals, dtype=float)
-    b = np.asarray(offsets, dtype=float)
-    m, d = a.shape
-    if d > MAX_DIM:
-        raise CapabilityError(f"vertex enumeration supports dim <= {MAX_DIM}")
-    if m > 64 or (d >= 5 and m > 32):
-        raise CapabilityError(f"facet count {m} exceeds the enumeration cap")
-    nrm = np.linalg.norm(a, axis=1)
-    if np.any(nrm == 0.0):
-        raise ValueError("zero normal row")
-    a = a / nrm[:, None]
-    b = b / nrm
-    combos = np.array(list(itertools.combinations(range(m), d)), dtype=int)
-    sub = a[combos]
-    rhs = b[combos]
-    dets = np.abs(np.linalg.det(sub))
-    ok = dets > 1e-10
-    if not ok.any():
-        return np.empty((0, d))
-    x = np.linalg.solve(sub[ok], rhs[ok][..., None])[..., 0]
-    feas = (x @ a.T <= b + VERTEX_TOL).all(axis=1)
-    if not feas.any():
-        return np.empty((0, d))
-    scale = float(np.max(np.abs(x[feas]))) + 1.0
-    return dedupe_points(x[feas], VERTEX_TOL * scale)
-
-
 def halfspace_intersection_vertices(
     normals: np.ndarray, offsets: np.ndarray, interior: np.ndarray
 ) -> np.ndarray:
     """Vertices of a bounded {x : A x <= b} via polar duality.
 
     Needs a strictly interior point.  Scales to many (mostly redundant)
-    constraints: one hull of the dual points replaces the combinatorial
-    subset enumeration.
+    constraints: the facets of one hull of the dual points are the
+    vertices.
     """
     a = np.asarray(normals, dtype=float)
     b = np.asarray(offsets, dtype=float)

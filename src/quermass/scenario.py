@@ -199,10 +199,12 @@ def load_scenario(source: str | dict) -> Scenario:
                 doc = json.load(fh)
     else:
         doc = source
+    if not isinstance(doc, dict):
+        raise ScenarioError([f"scenario: expected an object, got {type(doc).__name__}"])
     errors: list[str] = []
     seed = doc.get("seed", int(os.environ.get("QUERMASS_SEED", "0")))
-    if not isinstance(seed, int):
-        errors.append("seed: must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        errors.append(f"seed: must be an integer, got {seed!r}")
         seed = 0
     bodies = _parse_bodies(doc.get("bodies", []), errors)
     checks = []
@@ -219,10 +221,15 @@ def load_scenario(source: str | dict) -> Scenario:
             continue
         checks.append(spec)
     output = doc.get("output", {})
+    if not isinstance(output, dict):
+        errors.append(f"output: expected an object, got {output!r}")
+        output = {}
     out_path = output.get("path")
+    if out_path is not None and not isinstance(out_path, str):
+        errors.append(f"output.path: must be a string, got {out_path!r}")
     out_format = output.get("format", "csv")
     if out_format not in ("csv", "json"):
-        errors.append("output/format: must be 'csv' or 'json'")
+        errors.append("output.format: must be 'csv' or 'json'")
     for ci, spec in enumerate(checks):
         for bi, body in enumerate(bodies):
             for problem in validate_combination(body, spec):

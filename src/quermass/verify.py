@@ -437,15 +437,14 @@ def _haar_flats(n: int, m: int, rng: RngStream, count: int | None = None,
 
 def _affine_flat(body: bd.ConvexBody, flat: gr.Subspace,
                  gen: np.random.Generator) -> tuple[np.ndarray, float]:
-    """(x, weight): x uniform on the body's shadow in F-perp, as an ambient
-    vector, and weight the shadow's volume.  For any g on sections,
-    E[weight * g(K cap (x + F))] is the integral of g over the translates
-    of F, so with F Haar it is the integral over affine flats."""
-    comp = flat.complement()
-    shadow = bd.project(body, comp.basis)
-    weight = bd.volume(shadow)
-    y = bd.sample_uniform_with(shadow, 1, gen)[0]
-    return comp.basis @ y, weight
+    """(p, weight): p a point of the body on the translate x + F whose
+    offset x is uniform on the body's shadow in F-perp, and weight the
+    shadow's volume.  For any g on sections, E[weight * g(K cap (x + F))]
+    is the integral of g over the translates of F, so with F Haar it is the
+    integral over affine flats."""
+    shadow = bd.project(body, flat.complement())
+    _, lifts = bd.sample_lifted_with(shadow, 1, gen)
+    return lifts[0], bd.volume(shadow)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +462,8 @@ def crofton_check(body: bd.ConvexBody, k: int, j: int,
     vals = np.empty(samples)
     offsets_gen = rng.split_named("offsets").generator()
     for i, flat in enumerate(_haar_flats(n, n - k, rng, samples)):
-        x, weight = _affine_flat(body, flat, offsets_gen)
-        section = bd.affine_section(body, flat, x)
+        p, weight = _affine_flat(body, flat, offsets_gen)
+        section = bd.affine_section(body, flat, p)
         vals[i] = weight * _section_quermass(section, j, sub_samples, rng.split(i))
     middle = Estimate.from_values(vals, rng.seed, "flat-mc")
     alpha = alpha_const(n, k, j)
@@ -485,16 +484,16 @@ def lemma_rs_check(body: bd.ConvexBody, j: int, flat=None,
     n = body.dim
     k, flat = _resolve_flat("lemma-rs", body, k, flat, rng, j=j)
     comp = flat.complement()
-    shadow = bd.project(body, flat.basis)
+    shadow = bd.project(body, flat)
     pvol = bd.volume(shadow)
     central = bd.central_section(body, comp)
     wc = it.quermass_estimate(central, j, 4 * sub_samples,
                               rng.split_named("central"))
-    ys = bd.sample_uniform(shadow, samples, rng.split_named("offsets"))
+    _, lifts = bd.sample_lifted_with(shadow, samples,
+                                     rng.split_named("offsets").generator())
     vals = np.empty(samples)
     for i in range(samples):
-        x = flat.basis @ ys[i]
-        section = bd.affine_section(body, comp, x)
+        section = bd.affine_section(body, comp, lifts[i])
         vals[i] = _section_quermass(section, j, sub_samples, rng.split(i))
     middle = Estimate.from_values(vals, rng.seed, "offset-mc").scaled(pvol)
     binom_inv = math.exp(-log_binom(n - j, k))
@@ -524,7 +523,7 @@ def thm11_check(body: bd.ConvexBody, k: int, j: int,
     _require("thm-1-1", body, k=k, j=j)
     vals = np.empty(samples)
     for i, flat in enumerate(_haar_flats(n, n - k, rng, samples)):
-        shadow = bd.project(body, flat.complement().basis)
+        shadow = bd.project(body, flat.complement())
         section = bd.central_section(body, flat)
         vals[i] = bd.volume(shadow) * _section_quermass(
             section, j, sub_samples, rng.split(i))
@@ -667,7 +666,7 @@ def spingarn_check(body: bd.ConvexBody, k: int | None = None, flat=None,
     started = time.perf_counter()
     n = body.dim
     k, flat = _resolve_flat("spingarn", body, k, flat, rng)
-    pv = bd.volume(bd.project(body, flat.basis))
+    pv = bd.volume(bd.project(body, flat))
     sec = bd.central_section(body, flat.complement())
     sv = bd.volume(sec) if sec is not None else 0.0
     middle = Estimate.exact(pv * sv)
@@ -684,7 +683,7 @@ def rs_lower_check(body: bd.ConvexBody, k: int | None = None, flat=None,
     started = time.perf_counter()
     n = body.dim
     k, flat = _resolve_flat("rs-lower", body, k, flat, rng)
-    pv = bd.volume(bd.project(body, flat.basis))
+    pv = bd.volume(bd.project(body, flat))
     sec = bd.central_section(body, flat.complement())
     sv = bd.volume(sec) if sec is not None else 0.0
     middle = Estimate.exact(pv * sv)
@@ -700,17 +699,18 @@ def _offset_section_max(body: bd.ConvexBody, flat: gr.Subspace, j: int,
     """Sampled max over offsets x in the shadow of W_j(K cap (x + F-perp)),
     always including the central offset x = 0."""
     comp = flat.complement()
-    shadow = bd.project(body, flat.basis)
-    ys = bd.sample_uniform(shadow, x_samples, rng.split_named("xs"))
+    shadow = bd.project(body, flat)
+    _, lifts = bd.sample_lifted_with(shadow, x_samples,
+                                     rng.split_named("xs").generator())
     best_val = -math.inf
     best_x = np.zeros(body.dim)
     for i in range(-1, x_samples):
-        x = np.zeros(body.dim) if i < 0 else flat.basis @ ys[i]
-        section = bd.affine_section(body, comp, x)
+        p = np.zeros(body.dim) if i < 0 else lifts[i]
+        section = bd.affine_section(body, comp, p)
         val = _section_quermass(section, j, sub_samples, rng.split(i + 1))
         if val > best_val:
             best_val = val
-            best_x = x
+            best_x = flat.basis @ (flat.basis.T @ p)
     return best_val, best_x
 
 
@@ -786,8 +786,7 @@ def dpp_spotcheck(body: bd.ConvexBody, d: int, q: int,
     probe_pts = bd.sample_uniform(body, norm_probes, rng.split_named("probes"))
     fmax = 0.0
     for i in range(-1, norm_probes):
-        x = np.zeros(n) if i < 0 else flat.basis @ (flat.basis.T @ probe_pts[i])
-        section = bd.affine_section(body, comp, x)
+        section = bd.affine_section(body, comp, None if i < 0 else probe_pts[i])
         if section is not None:
             fmax = max(fmax, bd.volume(section))
     m = min(q, d)
@@ -1038,7 +1037,9 @@ def bm_quermass_check(body: bd.ConvexBody, other: bd.ConvexBody | None = None,
     started = time.perf_counter()
     n = body.dim
     _require("bm-quermass", body, j=j)
-    if other is None:
+    if other is not None:
+        _require("bm-quermass", other)
+    else:
         g = rng.split_named("partner").generator().standard_normal((10, n))
         other = bd.vpolytope(np.vstack([g, -g]), bd.Flags(symmetric=True))
     ksum = bd.minkowski_sum(body, other)

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from conftest import unit
 from quermass import bodies as bd
 from quermass import grassmann as gr
 from quermass.core import RngStream, orthonormalize
+from quermass.corpus import corpus
 
 
 def unit_cube(centered=False):
@@ -128,10 +130,28 @@ def test_affine_section_examples():
     assert bd.volume(sec) == pytest.approx(1.0, rel=1e-9)
 
 
-def test_affine_section_offset_must_be_orthogonal():
+def test_affine_section_point_anywhere_in_flat():
+    # the section through a point depends only on the point's part
+    # orthogonal to F: the unit square for the centred unit 4-cube and
+    # span(e_1, e_2), whether the point is inside the cube or far outside
     ball = bd.ball(np.zeros(3), 1.0)
+    sec = bd.affine_section(ball, np.eye(3)[:, :2], np.array([0.5, -3.0, 0.6]))
+    assert sec.radius == pytest.approx(0.8, rel=1e-12)
+    assert np.allclose(sec.center, 0.0)
+    cube = bd.box(np.zeros(4), np.full(4, 0.5))
+    f2 = np.eye(4)[:, :2]
+    for point in ([0.3, -0.2, 0.1, 0.25], [5.0, 5.0, 0.1, 0.25]):
+        sec = bd.affine_section(cube, f2, np.array(point))
+        assert bd.volume(sec) == pytest.approx(1.0, rel=1e-12)
+        assert np.allclose(np.sort(np.abs(sec.vertices).ravel()), 0.5)
+
+
+def test_raw_basis_must_be_orthonormal():
     with pytest.raises(ValueError):
-        bd.affine_section(ball, np.eye(3)[:, :2], np.array([0.5, 0, 0]))
+        bd.project(bd.ball(np.zeros(3), 1.0), np.array([[1.0, 0], [0, 2.0], [0, 0]]))
+    with pytest.raises(ValueError):
+        bd.central_section(unit_cube(centered=True),
+                           np.array([[1.0, 1.0], [0, 1.0], [0, 0]]))
 
 
 def test_section_volume_maximal_at_center_symmetric(rng):
@@ -150,6 +170,65 @@ def test_section_volume_maximal_at_center_symmetric(rng):
             central = bd.central_section(body, flat)
             off_vol = bd.volume(section) if section is not None else 0.0
             assert off_vol <= bd.volume(central) + 1e-9
+
+
+def _section_oracle(normals, offsets, basis, point):
+    """Volume of the section {y : normals (x + basis y) <= offsets}, x the
+    part of point orthogonal to the flat, from scipy's halfspace
+    intersection, or by hand for a segment."""
+    x = point - basis @ (basis.T @ point)
+    a, b = normals @ basis, offsets - normals @ x
+    if basis.shape[1] == 1:
+        a = a[:, 0]
+        return (b[a > 0] / a[a > 0]).min() - (b[a < 0] / a[a < 0]).max()
+    hs = HalfspaceIntersection(np.hstack([a, -b[:, None]]), basis.T @ point)
+    return ConvexHull(hs.intersections).volume
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_lifted_shadow_points_witness_sections(k, rng, monkeypatch):
+    lps = []
+    monkeypatch.setattr(bd, "linprog", lambda *a, **kw: lps.append(1) or linprog(*a, **kw))
+    polytopes = [b for b in corpus("all")
+                 if b.dim == 4 and b.kind in ("box", "vpolytope", "hpolytope")]
+    assert len(polytopes) == 5
+    for b_i, body in enumerate(polytopes):
+        normals, offsets = bd._hrep(body)
+        for i, basis in enumerate(gr.haar_bases(4, 4 - k, 200, rng.split(b_i))):
+            flat = gr.Subspace(4, 4 - k, basis)
+            comp = flat.complement()
+            ys, lifts = bd.sample_lifted_with(bd.project(body, comp), 1,
+                                              rng.split(b_i).split(i).generator())
+            assert np.abs(lifts @ comp.basis - ys).max() <= 1e-12
+            assert (offsets - normals @ lifts[0]).min() > 0.0
+            for point in (np.zeros(4), lifts[0]):
+                sec = bd.affine_section(body, flat, point)
+                assert bd.volume(sec) == pytest.approx(
+                    _section_oracle(normals, offsets, flat.basis, point), rel=1e-9)
+    assert lps == []
+
+
+def test_boundary_witness_takes_the_lp(monkeypatch):
+    lps = []
+    monkeypatch.setattr(bd, "linprog", lambda *a, **kw: lps.append(1) or linprog(*a, **kw))
+    cube = bd.box(np.zeros(4), np.full(4, 0.5))
+    f2 = np.eye(4)[:, :2]
+    inside = bd.affine_section(cube, f2, np.array([0.1, 0.0, 0.2, -0.3]))
+    assert lps == []
+    boundary = bd.affine_section(cube, f2, np.array([0.5, 0.0, 0.2, -0.3]))
+    assert lps == [1]
+    assert bd.volume(boundary) == pytest.approx(1.0, rel=1e-12)
+    assert bd.volume(boundary) == pytest.approx(bd.volume(inside), rel=1e-12)
+
+
+def test_lifted_points_of_balls_and_ellipsoids(rng):
+    flat = gr.haar_subspace(4, 2, rng)
+    for i, body in enumerate([bd.ball(np.array([0.3, 0, -0.2, 0.1]), 1.5),
+                              bd.ellipsoid(np.full(4, 0.2), np.diag([1.0, 4.0, 0.25, 2.0]))]):
+        ys, lifts = bd.sample_lifted_with(bd.project(body, flat), 500,
+                                          rng.split(i).generator())
+        assert np.abs(lifts @ flat.basis - ys).max() <= 1e-12
+        assert bd.contains_batch(body, lifts).all()
 
 
 def test_projection_section_product_bounds_volume(rng):
@@ -213,11 +292,45 @@ def test_sample_uniform_membership(rng):
     assert bd.contains_batch(ell, pts).all()
 
 
-def test_sample_uniform_efficiency_error(rng):
+def _simplex_moments(v):
+    """Mean and second-moment matrix of the uniform law on the simplex with
+    vertex rows v: E[x x^T] = (sum v_i v_i^T + s s^T) / ((d+1)(d+2)), s = sum v_i."""
+    d = v.shape[1]
+    s = v.sum(axis=0)
+    return s / (d + 1), (v.T @ v + np.outer(s, s)) / ((d + 1) * (d + 2))
+
+
+def _assert_moments(pts, mean, second, sigmas=5.0):
+    n = len(pts)
+    assert np.all(np.abs(pts.mean(axis=0) - mean) <= sigmas * pts.std(axis=0) / math.sqrt(n))
+    prods = pts[:, :, None] * pts[:, None, :]
+    err = sigmas * prods.std(axis=0) / math.sqrt(n)
+    assert np.all(np.abs(prods.mean(axis=0) - second) <= err)
+
+
+def test_sample_uniform_fan_moments(rng):
+    square = bd.hpolytope(np.vstack([np.eye(2), -np.eye(2)]), np.array([1, 1, 0, 0.0]))
+    tri = np.array([[0.0, 0.0], [2.0, 0.0], [0.5, 1.5]])
+    tet = np.vstack([np.zeros(3), np.eye(3)])
+    cases = [(square, np.full(2, 0.5), np.array([[1 / 3, 1 / 4], [1 / 4, 1 / 3]])),
+             (bd.vpolytope(tri), *_simplex_moments(tri)),
+             (bd.vpolytope(tet), *_simplex_moments(tet)),
+             # cross-polytope: E[x_i^2] = 2 / ((d+1)(d+2))
+             (crosspoly(4), np.zeros(4), np.eye(4) / 15)]
+    for i, (body, mean, second) in enumerate(cases):
+        pts = bd.sample_uniform(body, 40_000, rng.split(i))
+        assert bd.contains_batch(body, pts).all()
+        _assert_moments(pts, mean, second)
+
+
+def test_sample_uniform_needle(rng):
+    # a 1e-7-wide triangle fills a 1e-7 share of its bounding box
     eps = 1e-7
-    needle = bd.vpolytope(np.array([[0.0, 0.0], [1.0, 1.0], [1.0 + eps, 1.0 - eps]]))
-    with pytest.raises(bd.SamplingEfficiencyError):
-        bd.sample_uniform(needle, 10, rng)
+    v = np.array([[0.0, 0.0], [1.0, 1.0], [1.0 + eps, 1.0 - eps]])
+    needle = bd.vpolytope(v)
+    pts = bd.sample_uniform(needle, 20_000, rng)
+    assert bd.contains_batch(needle, pts, tol=1e-12).all()
+    _assert_moments(pts, *_simplex_moments(v))
 
 
 def test_hpolytope_rejects_unbounded():

@@ -179,19 +179,6 @@ def test_steiner_fit_conditioning_error(rng):
         it.quermass_steiner_fit(cube, 1, lams, 1000, rng)
 
 
-def test_dim_convert_examples():
-    factor = it.dim_convert(1.0, 3, 1, 1)
-    assert factor == pytest.approx(math.pi / 3, rel=1e-12)
-    # disk inside a 3-space: converted order-1 value equals omega_3 * pi/4
-    got = it.dim_convert(math.pi, 3, 1, 1)
-    assert got == pytest.approx(omega(3) * math.pi / 4, rel=1e-9)
-    assert it.dim_convert(2.5, 4, 0, 2) == 2.5
-    assert it.dim_convert(it.dim_convert(1.7, 5, 2, 1), 5, 2, 1,
-                          inverse=True) == pytest.approx(1.7, rel=1e-12)
-    with pytest.raises(Exception):
-        it.dim_convert(1.0, 3, 2, 5)
-
-
 def test_quermass_subdim_examples(rng):
     tri = np.array([[1.0, 0, 0], [0, 1.0, 0]])
     est0 = it.quermass_subdim(tri, 0, 64, rng)

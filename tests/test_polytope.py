@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from quermass.polytope import (
     hull_volumes,
     planar_intrinsics,
     polygon_areas,
-    vertex_enumeration,
     volume_and_centroid,
 )
 
@@ -103,7 +103,10 @@ def test_cube_hull_structure():
     hull = convex_hull(cube_corners())
     assert len(hull.vertices) == 8
     assert len(hull.facets) == 6
-    assert len(hull.vertices) - hull.edge_count() + len(hull.facets) == 2
+    # two facets of a 3-polytope meet in an edge when they share >= 2 vertices
+    sets = [set(f.vertex_ids) for f in hull.facets]
+    edges = sum(len(a & b) >= 2 for a, b in itertools.combinations(sets, 2))
+    assert len(hull.vertices) - edges + len(hull.facets) == 2
     for facet in hull.facets:
         slack = hull.vertices @ facet.normal - facet.offset
         assert slack.max() <= 1e-9
@@ -169,26 +172,43 @@ def test_hull_volume_monotone_in_points(seed):
     assert hull_volume(pts[:15]) <= hull_volume(pts) + 1e-12
 
 
+def _enumerate_vertices(a, b):
+    """Reference: solve every square subsystem, keep the feasible solutions."""
+    d = a.shape[1]
+    found = []
+    for rows in itertools.combinations(range(len(a)), d):
+        sub = a[list(rows)]
+        if abs(np.linalg.det(sub)) > 1e-10:
+            x = np.linalg.solve(sub, b[list(rows)])
+            if (a @ x <= b + 1e-8).all() and not any(
+                    np.linalg.norm(x - y) <= 1e-8 for y in found):
+                found.append(x)
+    return np.array(found)
+
+
 def test_vertex_enumeration_cube():
     a = np.vstack([np.eye(3), -np.eye(3)])
     b = np.array([1, 1, 1, 0, 0, 0.0])
-    verts = vertex_enumeration(a, b)
+    verts = halfspace_intersection_vertices(a, b, np.full(3, 0.5))
     assert len(verts) == 8
+    assert {tuple(v) for v in np.round(verts, 12)} == {
+        tuple(v) for v in cube_corners()}
 
 
 def test_vertex_enumeration_simplex_and_crosspoly():
     a = np.vstack([-np.eye(3), np.ones((1, 3))])
     b = np.array([0, 0, 0, 1.0])
-    assert len(vertex_enumeration(a, b)) == 4
+    assert len(halfspace_intersection_vertices(a, b, np.full(3, 0.2))) == 4
     signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * 3, indexing="ij")).reshape(3, -1).T
-    assert len(vertex_enumeration(signs, np.ones(8))) == 6
+    verts = halfspace_intersection_vertices(signs, np.ones(8), np.zeros(3))
+    assert len(verts) == 6
 
 
 def test_vertex_enumeration_recovers_hull_vertices(rng):
     pts = rng.split(5).generator().standard_normal((20, 3))
     hull = convex_hull(pts)
     a, b = hull.facet_matrix()
-    verts = vertex_enumeration(a, b)
+    verts = halfspace_intersection_vertices(a, b, pts.mean(axis=0))
     found = {tuple(np.round(v, 7)) for v in verts}
     expected = {tuple(np.round(v, 7)) for v in hull.vertices}
     assert found == expected
@@ -199,7 +219,7 @@ def test_halfspace_intersection_matches_enumeration(rng):
     hull = convex_hull(pts)
     a, b = hull.facet_matrix()
     via_dual = halfspace_intersection_vertices(a, b, hull.interior_point)
-    via_combi = vertex_enumeration(a, b)
+    via_combi = _enumerate_vertices(a, b)
     assert len(via_dual) == len(via_combi)
     assert hull_volume(via_dual) == pytest.approx(hull_volume(via_combi), rel=1e-9)
 

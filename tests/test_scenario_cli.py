@@ -100,9 +100,12 @@ _PARAM_VALUES = (st.none() | st.booleans() | st.integers(-3, 5)
     {"check": st.sampled_from(sorted(sc.REGISTRY)) | st.text(max_size=4)
      | st.integers() | st.lists(st.integers(), max_size=2)},
     optional={name: _PARAM_VALUES
-              for name in ("k", "j", "N", "n", "samples", "sub_samples")}))
-def test_scenario_validation_fuzz(entry):
-    doc = {"seed": 1, "bodies": [_CUBE_3D], "checks": [entry]}
+              for name in ("k", "j", "N", "n", "samples", "sub_samples")}),
+    seed=_PARAM_VALUES,
+    output=_PARAM_VALUES | st.fixed_dictionaries(
+        {}, optional={"path": _PARAM_VALUES, "format": _PARAM_VALUES}))
+def test_scenario_validation_fuzz(entry, seed, output):
+    doc = {"seed": seed, "bodies": [_CUBE_3D], "checks": [entry], "output": output}
     try:
         scen = sc.load_scenario(doc)
     except sc.ScenarioError as err:
@@ -110,7 +113,15 @@ def test_scenario_validation_fuzz(entry):
             val = entry.get(name, 1)
             if isinstance(val, bool) or not isinstance(val, int):
                 assert any(e.startswith(f"checks[0].{name}:") for e in err.errors)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            assert any(e.startswith("seed:") for e in err.errors)
+        if not isinstance(output, dict):
+            assert any(e.startswith("output:") for e in err.errors)
+        elif not isinstance(output.get("path", ""), (str, type(None))):
+            assert any(e.startswith("output.path:") for e in err.errors)
         return
+    assert type(scen.seed) is int
+    assert scen.out_path is None or isinstance(scen.out_path, str)
     params = scen.checks[0].params
     for name in ("k", "j", "N", "samples", "sub_samples"):
         if name in params:
@@ -130,6 +141,17 @@ def test_scenario_validation_names_field_path():
         with pytest.raises(sc.ScenarioError) as err:
             sc.load_scenario({"seed": 1, "bodies": [_CUBE_3D], "checks": [entry]})
         assert any(e.startswith(path + ":") for e in err.value.errors), err.value.errors
+    good = {"seed": 1, "bodies": [_CUBE_3D], "checks": [{"check": "spingarn", "k": 1}]}
+    for change, path in (({"seed": True}, "seed"), ({"output": []}, "output"),
+                         ({"output": "out.csv"}, "output"),
+                         ({"output": {"path": 5}}, "output.path"),
+                         ({"output": {"format": "xml"}}, "output.format")):
+        with pytest.raises(sc.ScenarioError) as err:
+            sc.load_scenario(dict(good, **change))
+        assert any(e.startswith(path + ":") for e in err.value.errors), err.value.errors
+    for doc in ([], [good], 3, None):
+        with pytest.raises(sc.ScenarioError):
+            sc.load_scenario(doc)
 
 
 _BALL_3D = {"type": "ball", "dim": 3, "center": [0, 0, 0], "radius": 1.0,
@@ -163,9 +185,14 @@ def test_bm_quermass_needs_a_polytope(monkeypatch):
     def no_sampling(self):
         raise AssertionError("drew random numbers before the hypotheses held")
     monkeypatch.setattr(RngStream, "generator", no_sampling)
+    cube = sc.load_scenario({"seed": 1, "bodies": [_CUBE_3D], "checks": []}).bodies[0]
     for body in bodies:
         with pytest.raises(vf.PreconditionError, match="must be a polytope"):
             vf.bm_quermass_check(body, j=0, rng=RngStream(1))
+        if body.dim == 3:
+            # a direct call with a round partner used to end in CapabilityError
+            with pytest.raises(vf.PreconditionError, match="must be a polytope"):
+                vf.bm_quermass_check(cube, body, j=0, rng=RngStream(1))
 
 
 def test_scenario_validation_rejects_unused_parameters(capsys):
