@@ -154,24 +154,24 @@ def vpolytope(vertices, flags: Flags | None = None, reduce: bool = True,
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
     n = v.shape[1]
     body = ConvexBody("vpolytope", n, flags or Flags())
+    body.vertices = v
     if validated:
-        body.vertices = v
-        return body
-    if len(v) < n + 1 or pt.affine_rank(v) < n:
-        # Flat body: kept verbatim (support/projection/width still work);
-        # volume is 0 and full-dimensional operations are unavailable.
-        body.vertices = v
-        body._cache["degenerate"] = True
         return body
     if reduce and n <= pt.MAX_DIM:
-        if n == 1:
-            body.vertices = np.array([[v[:, 0].min()], [v[:, 0].max()]])
-        else:
+        try:
             hull = pt.convex_hull(v, n)
+        except pt.DegenerateHullError:
+            flat = True
+        else:
+            flat = False
             body.vertices = hull.vertices
             body._cache["hull"] = hull
     else:
-        body.vertices = v
+        flat = len(v) < n + 1 or pt.affine_rank(v) < n
+    if flat:
+        # Flat body: kept verbatim (support/projection/width still work);
+        # volume is 0 and full-dimensional operations are unavailable.
+        body._cache["degenerate"] = True
     return body
 
 
@@ -260,11 +260,7 @@ def _hrep(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
             )
             hrep = (a, b)
         elif body.kind == "vpolytope":
-            if body.dim == 1:
-                lo, hi = body.vertices[:, 0].min(), body.vertices[:, 0].max()
-                hrep = (np.array([[1.0], [-1.0]]), np.array([hi, -lo]))
-            else:
-                hrep = _hull(body).facet_matrix()
+            hrep = _hull(body).facet_matrix()
         else:
             raise CapabilityError(f"no halfspace form for kind {body.kind}")
         body._cache["hrep"] = hrep
@@ -750,11 +746,10 @@ def sample_lifted_with(shadow: ConvexBody, count: int,
         return ys, body.center + rel
     verts = _vrep(body)
     centre = verts.mean(axis=0)
+    # the shadow's hull was built from verts @ basis, so its vertex rows
+    # are the body vertices above them
     hull = _hull(shadow)
-    # hull vertices are projected body vertices: find the one above each
-    dist = ((hull.vertices[:, None, :] - (verts @ basis)[None]) ** 2).sum(axis=2)
-    above = verts[np.argmin(dist, axis=1)]
-    lifts = _fan_draw(hull, centre @ basis, count, gen, (centre, above))
+    lifts = _fan_draw(hull, centre @ basis, count, gen, (centre, verts[hull.rows]))
     return lifts @ basis, lifts
 
 

@@ -6,7 +6,7 @@ W_0 = |K|, n W_1 = surface area, W_{n-1} = omega_n * (mean support), and
 W_n = omega_n.
 
 Methods, kept deliberately independent so they can cross-validate:
-  * closed forms (balls, boxes, planar polytopes, polytope surface areas),
+  * closed forms (balls, boxes, polytope volumes and surface areas),
   * Kubota projection averages over Haar subspaces (exact per-sample
     projection volumes, so the only noise is Grassmannian variance),
   * a Steiner polynomial fit to hit-or-miss estimates of |K + t B|,
@@ -133,8 +133,8 @@ def quermass_exact(body: bd.ConvexBody, j: int) -> float | None:
     """Closed-form W_j where one exists, else None.
 
     Balls and boxes have full closed forms; any body with exact volume
-    covers j = 0; polytopes cover j = 1 through the boundary area and all
-    of dimension <= 2 through planar area/perimeter; j = n is omega_n.
+    covers j = 0; polytopes cover j = 1 through the boundary area of their
+    hull (half the perimeter in the plane); j = n is omega_n.
     """
     n = body.dim
     if not 0 <= j <= n:
@@ -153,11 +153,6 @@ def quermass_exact(body: bd.ConvexBody, j: int) -> float | None:
         return None
     if body._cache.get("degenerate"):
         return None
-    if n == 1:
-        return omega(1)  # only j=1 remains
-    if n == 2:
-        area, perim = pt.planar_intrinsics(bd._vrep(body))
-        return perim / 2.0 if j == 1 else None
     if j == 1:
         return bd._hull(body).surface_area() / n
     return None

@@ -1,33 +1,29 @@
 """Exact low-dimensional polytope computations.
 
-Convex hulls with merged facet structure (Qhull in dimension >= 3, a
-monotone chain in the plane), the vertices of bounded halfspace
-intersections from the dual hull about an interior point,
-fan-triangulation volumes and centroids, and exact planar area/perimeter.  hull_volumes is the one entry point for the hull
-volumes of a stack of point sets (shadows, random tuples): planar stacks go
-to polygon_areas, which runs the monotone chain on every row at once, so no
-per-row planar hull is built.  Everything is double precision; intended
-scale is dimension <= 6 and at most a few thousand points.
+Convex hulls as the arrays Qhull returns (vertices, boundary simplices and
+their planes), the vertices of bounded halfspace intersections from the
+dual hull about an interior point, and fan-triangulation volumes,
+centroids and surface areas.  hull_volumes is the one entry point for the
+hull volumes of a stack of point sets (shadows, random tuples): planar
+stacks go to polygon_areas, which runs a monotone chain on every row at
+once, so no per-row planar hull is built.  Everything is double precision;
+intended scale is dimension <= 6 and at most a few thousand points.
 
 No jitter is applied anywhere.  Qhull runs with scipy's default options and
-returns a triangulated boundary; ridge-adjacent simplices whose planes agree
-within MERGE_TOL form one facet, so a cube has 6 facets.
+returns a triangulated boundary whose simplices carry the plane of the
+facet they tile, so a cube has 12 simplices and 6 distinct planes.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-logger = logging.getLogger(__name__)
-
 MAX_DIM = 6
 
 RANK_RTOL = 1e-10
-MERGE_TOL = 1e-8
 VERTEX_TOL = 1e-8
 # rows per pass of polygon_areas: a quarter of the estimators' batch keeps a
 # pass over 22-vertex rows near 4 MB of temporaries at the same speed
@@ -51,41 +47,39 @@ class DegenerateHullError(PolytopeError):
         self.dim = dim
 
 
-@dataclass(frozen=True)
-class Facet:
-    """One facet: outward unit normal, offset, and the vertices lying on it."""
-
-    normal: np.ndarray
-    offset: float
-    vertex_ids: tuple[int, ...]
-
-
 @dataclass
 class HullComplex:
-    """Convex hull of a point set with facet structure.
+    """Convex hull of a point set, held as the arrays Qhull returns.
 
-    vertices are the extreme points (irredundant); facets are merged, so a
-    cube has 6 facets, each listing its 4 vertices.  simplices triangulate
-    the boundary (indices into vertices) and drive exact volume, centroid,
-    and surface-area computations.
+    vertices are the extreme points and rows[i] is the input row of
+    vertices[i].  simplices triangulate the boundary (indices into
+    vertices) and drive exact volume, centroid, and surface-area
+    computations; equations[i] = (normal, -offset) is the outward unit plane
+    of simplex i.  Qhull gives every simplex of a facet the same plane, so
+    the facets are the distinct rows of equations.  Planar hulls list their
+    vertices counterclockwise from the lexicographically smallest one, with
+    the edges in that order.
     """
 
     dim: int
     vertices: np.ndarray
-    facets: list[Facet]
-    interior_point: np.ndarray
+    rows: np.ndarray
     simplices: np.ndarray = field(repr=False)
+    equations: np.ndarray = field(repr=False)
+    interior_point: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.interior_point = self.vertices.mean(axis=0)
 
     def facet_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) with the hull equal to {x : A x <= b}."""
-        a = np.array([f.normal for f in self.facets])
-        b = np.array([f.offset for f in self.facets])
-        return a, b
-
-    def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        a, b = self.facet_matrix()
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return (pts @ a.T <= b + tol).all(axis=1)
+        """(A, b) with the hull equal to {x : A x <= b}, one row per facet
+        in order of its first simplex."""
+        # rows compare as bytes: a facet's simplices carry copies of one plane
+        eq = np.ascontiguousarray(self.equations)
+        rows = eq.view(np.dtype((np.void, eq.itemsize * eq.shape[1]))).ravel()
+        _, first = np.unique(rows, return_index=True)
+        eq = eq[np.sort(first)]
+        return eq[:, :-1], -eq[:, -1]
 
     def volume(self) -> float:
         vol, _ = volume_and_centroid(self)
@@ -138,107 +132,48 @@ def dedupe_points(points: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _qhull(pts: np.ndarray, d: int) -> HullComplex:
-    """Qhull's triangulated hull, its simplices merged into polytope facets."""
+    """Qhull's triangulated hull; a planar one is turned into a ring."""
     try:
         qh = ConvexHull(pts)
     except QhullError:
         raise DegenerateHullError(affine_rank(pts), d) from None
-    used = qh.vertices  # sorted input indices when d >= 3
-    remap = np.empty(len(pts), dtype=int)
-    remap[used] = np.arange(len(used))
-    vertices = pts[used]
-    simplices = remap[qh.simplices]
-    norms = qh.equations[:, :d]
-    offs = -qh.equations[:, d]
-
-    # Merge coplanar simplicial facets into polytope facets (union-find over
-    # ridge-adjacent pairs with matching planes).
-    n_s = len(simplices)
-    first = np.repeat(np.arange(n_s), d)
-    second = qh.neighbors.ravel()
-    pair = first < second
-    first, second = first[pair], second[pair]
-    scale = float(np.max(np.abs(vertices))) + 1.0
-    same = (np.linalg.norm(norms[first] - norms[second], axis=1) <= MERGE_TOL) & (
-        np.abs(offs[first] - offs[second]) <= MERGE_TOL * scale
-    )
-    parent = list(range(n_s))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in zip(first[same].tolist(), second[same].tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for i in range(n_s):
-        groups.setdefault(find(i), []).append(i)
-    facets = []
-    for root, members in sorted(groups.items()):
-        vset = sorted(set(simplices[members].ravel().tolist()))
-        facets.append(
-            Facet(normal=norms[root].copy(), offset=float(offs[root]), vertex_ids=tuple(vset))
-        )
-
-    return HullComplex(
-        dim=d,
-        vertices=vertices,
-        facets=facets,
-        interior_point=vertices.mean(axis=0),
-        simplices=simplices,
-    )
+    if d > 2:
+        rows = qh.vertices  # sorted input indices
+        remap = np.empty(len(pts), dtype=int)
+        remap[rows] = np.arange(len(rows))
+        return HullComplex(d, pts[rows], rows, remap[qh.simplices], qh.equations)
+    # qh.vertices run counterclockwise: start the ring at the smallest and
+    # give its edges their planes in ring order
+    ring = qh.vertices
+    m = len(ring)
+    step = np.arange(m)
+    rows = ring[(step + np.lexsort((pts[ring, 1], pts[ring, 0]))[0]) % m]
+    simplices = np.column_stack([step, (step + 1) % m])
+    vertices = pts[rows]
+    edge = vertices[simplices[:, 1]] - vertices
+    equations = np.empty((m, 3))
+    normals = equations[:, :2]
+    normals[:, 0], normals[:, 1] = edge[:, 1], -edge[:, 0]
+    normals /= np.sqrt(normals[:, None] @ normals[:, :, None])[:, 0]
+    equations[:, 2] = -(normals[:, None] @ vertices[:, :, None])[:, 0, 0]
+    return HullComplex(2, vertices, rows, simplices, equations)
 
 
 def _hull_1d(pts: np.ndarray) -> HullComplex:
-    lo = int(np.argmin(pts[:, 0]))
-    hi = int(np.argmax(pts[:, 0]))
-    vertices = pts[[lo, hi]]
-    facets = [
-        Facet(normal=np.array([-1.0]), offset=float(-pts[lo, 0]), vertex_ids=(0,)),
-        Facet(normal=np.array([1.0]), offset=float(pts[hi, 0]), vertex_ids=(1,)),
-    ]
-    simplices = np.array([[0], [1]], dtype=int)
-    return HullComplex(1, vertices, facets, vertices.mean(axis=0), simplices)
-
-
-def hull2d_indices(pts: np.ndarray) -> np.ndarray:
-    """Indices of hull vertices in counterclockwise order (monotone chain)."""
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    scale = float(np.max(np.abs(pts))) + 1e-300
-    eps = 1e-12 * scale * scale
-
-    def build(seq):
-        out: list[int] = []
-        for i in seq:
-            while len(out) >= 2:
-                o, a = pts[out[-2]], pts[out[-1]]
-                cross = (a[0] - o[0]) * (pts[i][1] - o[1]) - (a[1] - o[1]) * (
-                    pts[i][0] - o[0]
-                )
-                if cross <= eps:
-                    out.pop()
-                else:
-                    break
-            out.append(i)
-        return out
-
-    lower = build(order)
-    upper = build(order[::-1])
-    return np.array(lower[:-1] + upper[:-1], dtype=int)
+    rows = np.array([np.argmin(pts[:, 0]), np.argmax(pts[:, 0])])
+    lo, hi = pts[rows, 0]
+    equations = np.array([[-1.0, lo], [1.0, -hi]])
+    return HullComplex(1, pts[rows], rows, np.array([[0], [1]]), equations)
 
 
 def polygon_areas(points: np.ndarray) -> np.ndarray:
     """Areas of the convex hulls of a stack of planar point sets.
 
-    points has shape (B, V, 2); the result is (B,).  Each row gets the hull
-    hull2d_indices gives it (same per-row tolerance, same pop rule): the
-    monotone chain runs on all rows at once, with one stack pointer per
-    row, and the area is the shoelace over the lower and upper chains.
-    Rows with fewer than 3 hull vertices give 0.
+    points has shape (B, V, 2); the result is (B,).  The monotone chain
+    runs on all rows at once, with one stack pointer per row, and drops a
+    point whose turn is within 1e-12 (max |coordinate|)^2 of straight; the
+    area is the shoelace over the lower and upper chains.  Rows with fewer
+    than 3 hull vertices give 0.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 3 or pts.shape[2] != 2:
@@ -259,7 +194,7 @@ def _chain_areas(pts: np.ndarray) -> np.ndarray:
     eps = 1e-12 * scale * scale
     rows = np.arange(b)
     # The shoelace is taken about each row's leftmost point, for accuracy;
-    # the chain itself compares raw coordinates, as hull2d_indices does.
+    # the chain itself compares raw coordinates.
     x0, y0 = xs[:, :1], ys[:, :1]
     twice_area = np.zeros(b)
     vertex_count = np.zeros(b, dtype=int)
@@ -292,30 +227,8 @@ def _chain_areas(pts: np.ndarray) -> np.ndarray:
     return np.where(vertex_count >= 3, 0.5 * np.abs(twice_area), 0.0)
 
 
-def _hull_2d(pts: np.ndarray) -> HullComplex:
-    idx = hull2d_indices(pts)
-    if len(idx) < 3:
-        raise DegenerateHullError(affine_rank(pts), 2)
-    vertices = pts[idx]
-    m = len(vertices)
-    facets = []
-    simplices = []
-    for i in range(m):
-        a, b = vertices[i], vertices[(i + 1) % m]
-        edge = b - a
-        normal = np.array([edge[1], -edge[0]])
-        normal /= np.linalg.norm(normal)
-        facets.append(
-            Facet(normal=normal, offset=float(normal @ a), vertex_ids=(i, (i + 1) % m))
-        )
-        simplices.append([i, (i + 1) % m])
-    return HullComplex(
-        2, vertices, facets, vertices.mean(axis=0), np.array(simplices, dtype=int)
-    )
-
-
 def convex_hull(points: np.ndarray, dim: int | None = None) -> HullComplex:
-    """Convex hull with facet structure; points must span `dim`.
+    """Convex hull of points that span `dim`.
 
     Raises DegenerateHullError (carrying the achieved rank) for flat input
     and CapabilityError above dimension 6.
@@ -333,13 +246,7 @@ def convex_hull(points: np.ndarray, dim: int | None = None) -> HullComplex:
     rank = affine_rank(pts)
     if rank < d:
         raise DegenerateHullError(rank, d)
-    if d == 1:
-        return _hull_1d(pts)
-    if d == 2:
-        # Planar hulls here have a handful of points, where the monotone
-        # chain is faster than a call into Qhull.
-        return _hull_2d(pts)
-    return _qhull(pts, d)
+    return _hull_1d(pts) if d == 1 else _qhull(pts, d)
 
 
 def volume_and_centroid(hull: HullComplex) -> tuple[float, np.ndarray]:
@@ -386,29 +293,6 @@ def hull_volumes(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def planar_intrinsics(vertices: np.ndarray) -> tuple[float, float]:
-    """Exact (area, perimeter) of the convex hull of planar points.
-
-    Degenerate (collinear) input yields zero area and twice the segment
-    length as perimeter, with a logged warning.
-    """
-    pts = np.asarray(vertices, dtype=float)
-    if pts.shape[1] != 2:
-        raise ValueError("planar_intrinsics expects 2-d points")
-    if affine_rank(pts) < 2:
-        length = float(np.max(np.linalg.norm(pts[:, None] - pts[None, :], axis=2)))
-        logger.warning("degenerate planar polytope: area 0, segment length %g", length)
-        return 0.0, 2.0 * length
-    idx = hull2d_indices(pts)
-    poly = pts[idx]
-    x, y = poly[:, 0], poly[:, 1]
-    area = 0.5 * abs(
-        float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-    )
-    perim = float(np.sum(np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1)))
-    return area, perim
-
-
 def halfspace_intersection_vertices(
     normals: np.ndarray, offsets: np.ndarray, interior: np.ndarray
 ) -> np.ndarray:
@@ -425,7 +309,7 @@ def halfspace_intersection_vertices(
     if np.any(slack <= 0.0):
         raise ValueError("interior point is not strictly feasible")
     dual = a / slack[:, None]
-    hull = convex_hull(dual, a.shape[1])
-    verts = np.array([f.normal / f.offset for f in hull.facets]) + interior
+    facet_normals, facet_offsets = convex_hull(dual, a.shape[1]).facet_matrix()
+    verts = facet_normals / facet_offsets[:, None] + interior
     scale = float(np.max(np.abs(verts))) + 1.0
     return dedupe_points(verts, VERTEX_TOL * scale)

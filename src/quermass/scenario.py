@@ -189,6 +189,15 @@ def param_problems(spec: CheckSpec) -> list[str]:
     return problems
 
 
+def _list_field(doc: dict, key: str, errors: list[str]) -> list:
+    """doc[key] (default empty) when it is a list; otherwise an error and []."""
+    value = doc.get(key, [])
+    if isinstance(value, list):
+        return value
+    errors.append(f"{key}: expected a list, got {type(value).__name__}")
+    return []
+
+
 def load_scenario(source: str | dict) -> Scenario:
     """Parse and fully validate a scenario file, dict, or built-in name."""
     if isinstance(source, str):
@@ -206,9 +215,9 @@ def load_scenario(source: str | dict) -> Scenario:
     if isinstance(seed, bool) or not isinstance(seed, int):
         errors.append(f"seed: must be an integer, got {seed!r}")
         seed = 0
-    bodies = _parse_bodies(doc.get("bodies", []), errors)
+    bodies = _parse_bodies(_list_field(doc, "bodies", errors), errors)
     checks = []
-    for i, entry in enumerate(doc.get("checks", [])):
+    for i, entry in enumerate(_list_field(doc, "checks", errors)):
         path = f"checks[{i}]"
         if not isinstance(entry, dict) or "check" not in entry:
             errors.append(f"{path}: expected an object with a 'check' id")

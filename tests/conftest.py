@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
 
 from quermass.core import RngStream
-from quermass.polytope import hull2d_indices
 
 
 @pytest.fixture
@@ -21,10 +21,10 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
-def shoelace_of_hull(points):
-    """Area through hull2d_indices and the plain shoelace, one row at a time."""
-    idx = hull2d_indices(points)
-    if len(idx) < 3:
+def qhull_area(points):
+    """Area of the convex hull of planar points from scipy's Qhull; 0 for
+    points that span no area."""
+    try:
+        return float(ConvexHull(points).volume)
+    except QhullError:
         return 0.0
-    x, y = points[idx, 0], points[idx, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))

@@ -185,7 +185,7 @@ def _section_oracle(normals, offsets, basis, point):
     return ConvexHull(hs.intersections).volume
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_lifted_shadow_points_witness_sections(k, rng, monkeypatch):
     lps = []
     monkeypatch.setattr(bd, "linprog", lambda *a, **kw: lps.append(1) or linprog(*a, **kw))
@@ -206,6 +206,24 @@ def test_lifted_shadow_points_witness_sections(k, rng, monkeypatch):
                 assert bd.volume(sec) == pytest.approx(
                     _section_oracle(normals, offsets, flat.basis, point), rel=1e-9)
     assert lps == []
+
+
+def test_vpolytope_takes_one_rank_test(monkeypatch):
+    ranks = []
+    real = bd.pt.affine_rank
+    monkeypatch.setattr(bd.pt, "affine_rank", lambda *a: ranks.append(1) or real(*a))
+    gen = np.random.default_rng(8)
+    for n in (1, 2, 4):
+        ranks.clear()
+        body = bd.vpolytope(gen.normal(size=(12, n)))
+        assert ranks == [1] and not body._cache.get("degenerate")
+        assert len(body.vertices) == len(body._cache["hull"].vertices)
+    flat = gen.normal(size=(12, 4))
+    flat[:, 3] = 0.5
+    for reduce in (True, False):
+        body = bd.vpolytope(flat, reduce=reduce)
+        assert body._cache["degenerate"] and body.vertices is not None
+        assert bd.volume(body) == 0.0
 
 
 def test_boundary_witness_takes_the_lp(monkeypatch):

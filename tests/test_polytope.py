@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull as QhullReference
 
-from conftest import shoelace_of_hull
+from conftest import qhull_area
+from quermass import bodies as bd
+from quermass import integrals as it
 from quermass import polytope as pt
 from quermass.core import RngStream, gaussian_matrix, orthonormalize
 from quermass.polytope import (
@@ -16,7 +18,6 @@ from quermass.polytope import (
     halfspace_intersection_vertices,
     hull_volume,
     hull_volumes,
-    planar_intrinsics,
     polygon_areas,
     volume_and_centroid,
 )
@@ -32,6 +33,15 @@ def simplex_corners(d):
 
 def cross_polytope(d):
     return np.vstack([np.eye(d), -np.eye(d)])
+
+
+def facet_incidence(hull, tol=1e-12):
+    """(facet count, vertices x facets table of which vertex lies on which
+    facet), from facet_matrix and the vertex slacks."""
+    a, b = hull.facet_matrix()
+    slack = hull.vertices @ a.T - b
+    assert slack.max() <= tol
+    return len(a), np.abs(slack) <= tol
 
 
 # shape -> d -> (points, volume, surface area, facet count, vertices per facet)
@@ -62,13 +72,9 @@ def test_hull_closed_forms(shape, d):
     assert len(hull.vertices) == len(pts)
     assert hull.volume() == pytest.approx(volume, rel=1e-12)
     assert hull.surface_area() == pytest.approx(surface, rel=1e-12)
-    assert len(hull.facets) == n_facets
-    assert all(len(f.vertex_ids) == per_facet for f in hull.facets)
-    a, b = hull.facet_matrix()
-    slack = hull.vertices @ a.T - b
-    assert slack.max() <= 1e-12
-    for i, facet in enumerate(hull.facets):
-        assert np.abs(slack[list(facet.vertex_ids), i]).max() <= 1e-12
+    count, on = facet_incidence(hull)
+    assert count == n_facets
+    assert (on.sum(axis=0) == per_facet).all()
 
 
 def test_hull_drops_repeated_and_non_extreme_points():
@@ -76,8 +82,10 @@ def test_hull_drops_repeated_and_non_extreme_points():
     pts = np.vstack([corners, corners, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.5]]])
     hull = convex_hull(pts)
     assert len(hull.vertices) == 8
-    assert len(hull.facets) == 6
-    assert all(len(f.vertex_ids) == 4 for f in hull.facets)
+    assert np.array_equal(hull.vertices, pts[hull.rows])
+    count, on = facet_incidence(hull)
+    assert count == 6
+    assert (on.sum(axis=0) == 4).all()
     assert hull.volume() == pytest.approx(1.0, rel=1e-12)
 
 
@@ -94,33 +102,92 @@ def test_thin_hull_matches_stretched_copy(seed):
 
 
 def test_square_hull():
-    hull = convex_hull(np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]]))
-    assert len(hull.vertices) == 4
-    assert len(hull.facets) == 4
+    # given clockwise from a corner that is not the smallest, with the
+    # centre and a repeated corner
+    pts = np.array([[1, 1], [1, 0], [0.5, 0.5], [0, 0], [0, 1], [1, 0.0]])
+    hull = convex_hull(pts)
+    # a ring: counterclockwise from the lexicographically smallest vertex
+    assert hull.vertices.tolist() == [[0, 0], [1, 0], [1, 1], [0, 1]]
+    assert np.array_equal(hull.vertices, pts[hull.rows])
+    assert hull.simplices.tolist() == [[0, 1], [1, 2], [2, 3], [3, 0]]
+    a, b = hull.facet_matrix()
+    assert np.allclose(a, [[0, -1], [1, 0], [0, 1], [-1, 0]], atol=1e-15)
+    assert np.allclose(b, [0, 1, 1, 0], atol=1e-15)
+    assert hull.volume() == pytest.approx(1.0, rel=1e-12)
+    assert hull.surface_area() == pytest.approx(4.0, rel=1e-12)
 
 
 def test_cube_hull_structure():
     hull = convex_hull(cube_corners())
     assert len(hull.vertices) == 8
-    assert len(hull.facets) == 6
+    count, on = facet_incidence(hull)
+    assert count == 6
     # two facets of a 3-polytope meet in an edge when they share >= 2 vertices
-    sets = [set(f.vertex_ids) for f in hull.facets]
+    sets = [set(np.flatnonzero(col)) for col in on.T]
     edges = sum(len(a & b) >= 2 for a, b in itertools.combinations(sets, 2))
-    assert len(hull.vertices) - edges + len(hull.facets) == 2
-    for facet in hull.facets:
-        slack = hull.vertices @ facet.normal - facet.offset
-        assert slack.max() <= 1e-9
-        assert len(facet.vertex_ids) >= 3
+    assert len(hull.vertices) - edges + count == 2
+    assert all(len(s) >= 3 for s in sets)
 
 
 def test_hull_containment_oracle(rng):
     pts = rng.generator().standard_normal((100, 2))
     pts = pts[np.linalg.norm(pts, axis=1) <= 1.5]
     hull = convex_hull(pts)
-    assert hull.contains(pts).all()
-    # every hull vertex is one of the inputs
-    for v in hull.vertices:
-        assert np.min(np.linalg.norm(pts - v, axis=1)) < 1e-12
+    a, b = hull.facet_matrix()
+    assert (pts @ a.T <= b + 1e-9).all()
+    # the hull vertices are the input rows scipy's Qhull calls extreme
+    assert np.array_equal(hull.vertices, pts[hull.rows])
+    assert sorted(hull.rows) == sorted(QhullReference(pts).vertices)
+    # and run counterclockwise from the lexicographically smallest one
+    assert min(map(tuple, hull.vertices)) == tuple(hull.vertices[0])
+    e = np.roll(hull.vertices, -1, axis=0) - hull.vertices
+    f = np.roll(e, -1, axis=0)
+    assert (e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0] > 0).all()
+
+
+def _rotated(points, normals, offsets, seed):
+    """points, and the planes {n x <= b}, under x -> q x + t for a random
+    rotation q and shift t."""
+    d = points.shape[1]
+    q = orthonormalize(gaussian_matrix(d, d, RngStream(seed)))
+    t = RngStream(seed, 1).generator().normal(size=d)
+    normals = normals @ q.T
+    return points @ q.T + t, normals, offsets + normals @ t
+
+
+def _box(d):
+    half = 0.5 + np.arange(d) / d
+    signs = 2.0 * cube_corners(d) - 1.0
+    eye = np.eye(d)
+    return signs * half, np.vstack([eye, -eye]), np.concatenate([half, half])
+
+
+def _cross(d):
+    signs = 2.0 * cube_corners(d) - 1.0
+    return 1.5 * cross_polytope(d), signs / math.sqrt(d), np.full(2 ** d, 1.5 / math.sqrt(d))
+
+
+def _prism(d):
+    # a (d-1)-simplex times the segment [-0.7, 0.7]
+    base = simplex_corners(d - 1)
+    points = np.vstack([np.column_stack([base, np.full(d, h)]) for h in (-0.7, 0.7)])
+    normals = np.zeros((d + 2, d))
+    normals[:d - 1, :d - 1] = -np.eye(d - 1)
+    normals[d - 1, :d - 1] = 1.0 / math.sqrt(d - 1)
+    normals[d, d - 1], normals[d + 1, d - 1] = 1.0, -1.0
+    offsets = np.concatenate([np.zeros(d - 1), [1.0 / math.sqrt(d - 1), 0.7, 0.7]])
+    return points, normals, offsets
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("shape", [_box, _cross, _prism])
+def test_facet_matrix_matches_closed_form_facets(shape, d):
+    points, normals, offsets = _rotated(*shape(d), seed=40 + d)
+    a, b = convex_hull(points).facet_matrix()
+    assert len(a) == len(normals)
+    got = np.column_stack([a, b])
+    for row in np.column_stack([normals, offsets]):
+        assert np.abs(got - row).max(axis=1).min() <= 1e-12
 
 
 @pytest.mark.parametrize("dim,count", [(2, 60), (3, 80), (4, 60), (5, 40), (6, 24)])
@@ -241,35 +308,44 @@ def test_volume_and_centroid_examples():
     assert np.allclose(cen, 0.0, atol=1e-12)
 
 
-def test_planar_intrinsics_examples():
-    area, perim = planar_intrinsics(np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]]))
-    assert area == pytest.approx(1.0, rel=1e-12)
-    assert perim == pytest.approx(4.0, rel=1e-12)
+def _planar(points):
+    """Area and perimeter from the hull, and the perimeter again as twice
+    the W_1 that quermass_exact gives the V-polytope."""
+    hull = convex_hull(points)
+    return hull.volume(), hull.surface_area(), 2 * it.quermass_exact(bd.vpolytope(points), 1)
 
-    area, perim = planar_intrinsics(np.array([[0, 0], [1, 0], [0, 1.0]]))
+
+def test_planar_intrinsics_examples():
+    area, *perims = _planar(np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]]))
+    assert area == pytest.approx(1.0, rel=1e-12)
+    assert perims == pytest.approx([4.0, 4.0], rel=1e-12)
+
+    area, *perims = _planar(np.array([[0, 0], [1, 0], [0, 1.0]]))
     assert area == pytest.approx(0.5, rel=1e-12)
-    assert perim == pytest.approx(2 + math.sqrt(2), rel=1e-12)
+    assert perims == pytest.approx([2 + math.sqrt(2)] * 2, rel=1e-12)
 
 
 def test_planar_regular_polygon_approximates_disk():
     m = 1024
     theta = np.linspace(0, 2 * math.pi, m, endpoint=False)
     poly = np.column_stack([np.cos(theta), np.sin(theta)])
-    area, perim = planar_intrinsics(poly)
+    area, *perims = _planar(poly)
     assert abs(area - math.pi) < 1e-4
-    assert abs(perim - 2 * math.pi) < 1e-4
+    assert max(abs(p - 2 * math.pi) for p in perims) < 1e-4
     # closed forms of the regular polygon itself
     assert area == pytest.approx(0.5 * m * math.sin(2 * math.pi / m), rel=1e-12)
-    assert perim == pytest.approx(2 * m * math.sin(math.pi / m), rel=1e-12)
+    assert perims == pytest.approx([2 * m * math.sin(math.pi / m)] * 2, rel=1e-12)
 
 
-def test_planar_degenerate_flagged(caplog):
+def test_planar_degenerate_flagged():
     segment = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    with caplog.at_level("WARNING"):
-        area, perim = planar_intrinsics(segment)
-    assert area == 0.0
-    assert perim == pytest.approx(2 * math.sqrt(8), rel=1e-9)
-    assert any("degenerate" in rec.message for rec in caplog.records)
+    with pytest.raises(DegenerateHullError) as err:
+        convex_hull(segment)
+    assert err.value.rank == 1
+    body = bd.vpolytope(segment)
+    assert body._cache["degenerate"]
+    assert bd.volume(body) == 0.0
+    assert it.quermass_exact(body, 1) is None
 
 
 def regular_polygon(k, r, phase):
@@ -324,7 +400,7 @@ def test_polygon_areas_degenerate_rows_are_zero():
 def test_polygon_areas_match_per_row_hull(v):
     gen = np.random.default_rng(100 + v)
     pts = gen.normal(size=(300, v, 2)) * gen.uniform(0.1, 10.0, size=(300, 1, 1))
-    expected = [shoelace_of_hull(p) for p in pts]
+    expected = [qhull_area(p) for p in pts]
     np.testing.assert_allclose(polygon_areas(pts), expected, rtol=1e-12)
 
 

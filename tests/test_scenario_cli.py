@@ -149,6 +149,13 @@ def test_scenario_validation_names_field_path():
         with pytest.raises(sc.ScenarioError) as err:
             sc.load_scenario(dict(good, **change))
         assert any(e.startswith(path + ":") for e in err.value.errors), err.value.errors
+    for change, message in (({"bodies": 5}, "bodies: expected a list, got int"),
+                            ({"bodies": "corpus:balls"}, "bodies: expected a list, got str"),
+                            ({"checks": {"check": "crofton"}},
+                             "checks: expected a list, got dict")):
+        with pytest.raises(sc.ScenarioError) as err:
+            sc.load_scenario(dict(good, **change))
+        assert err.value.errors == [message]
     for doc in ([], [good], 3, None):
         with pytest.raises(sc.ScenarioError):
             sc.load_scenario(doc)
