@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from quermass import bodies as bd
@@ -32,8 +31,21 @@ def _load_bodies(spec: str) -> list[bd.ConvexBody]:
     return [body]
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("QUERMASS_SEED", "0"))
+def _validation_failed(errors: list[str]) -> int:
+    for err in errors:
+        print(f"validation error: {err}", file=sys.stderr)
+    return 2
+
+
+def _run_and_report(scenario: sc.Scenario) -> int:
+    """Run a scenario, print its summary, write its reports where it says;
+    exit code 1 when any check fails or raises."""
+    reports = sc.run_scenario(scenario)
+    print(sc.summary_table(reports))
+    if scenario.out_path:
+        dest = sc.write_reports(reports, scenario.out_path, scenario.out_format)
+        print(f"wrote {dest}")
+    return 1 if any(r.verdict in ("fail", "error") for r in reports) else 0
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -60,49 +72,24 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     bodies = _load_bodies(args.body)
-    params: dict = {}
-    for key in ("n", "k", "j", "N"):
-        val = getattr(args, key)
-        if val is not None:
-            params[key] = val
-    if args.samples is not None:
-        params["samples"] = args.samples
+    params = {key: getattr(args, key) for key in ("n", "k", "j", "N", "samples")
+              if getattr(args, key) is not None}
     spec = sc.CheckSpec(check=args.check, params=params)
-    errors = sc.param_problems(spec)
-    for bi, body in enumerate(bodies):
-        for problem in sc.validate_combination(body, spec):
-            errors.append(f"bodies[{bi}] ({body.describe()}): {problem}")
+    errors = sc.param_problems(spec) + sc.combination_problems([spec], bodies)
     if errors:
-        for err in errors:
-            print(f"validation error: {err}", file=sys.stderr)
-        return 2
-    reports = []
-    for bi, body in enumerate(bodies):
-        rng = RngStream(args.seed).split_named(f"check-0-body-{bi}")
-        reports.append(sc.run_check(body, spec, rng))
-    print(sc.summary_table(reports))
-    if args.out:
-        dest = sc.write_reports(reports, args.out, args.format)
-        print(f"wrote {dest}")
-    return 0 if all(r.verdict != "fail" for r in reports) else 1
+        return _validation_failed(errors)
+    return _run_and_report(sc.Scenario(seed=args.seed, bodies=bodies, checks=[spec],
+                                       out_path=args.out, out_format=args.format))
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     try:
         scenario = sc.load_scenario(args.file)
     except sc.ScenarioError as exc:
-        for err in exc.errors:
-            print(f"validation error: {err}", file=sys.stderr)
-        return 2
-    reports = sc.run_scenario(scenario)
-    print(sc.summary_table(reports))
-    out_path = args.out or scenario.out_path
-    fmt = args.format or scenario.out_format
-    if out_path:
-        dest = sc.write_reports(reports, out_path, fmt)
-        print(f"wrote {dest}")
-    hard_fail = any(r.verdict in ("fail", "error") for r in reports)
-    return 1 if hard_fail else 0
+        return _validation_failed(exc.errors)
+    scenario.out_path = args.out or scenario.out_path
+    scenario.out_format = args.format or scenario.out_format
+    return _run_and_report(scenario)
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
@@ -148,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--method", choices=("kubota", "steiner", "exact", "auto"),
                      default="auto")
     p_c.add_argument("--samples", type=int, default=10_000)
-    p_c.add_argument("--seed", type=int, default=_default_seed())
+    p_c.add_argument("--seed", type=int)
     p_c.set_defaults(fn=_cmd_compute)
 
     p_v = sub.add_parser("verify", help="run one check")
@@ -159,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--j", type=int)
     p_v.add_argument("--N", type=int)
     p_v.add_argument("--samples", type=int)
-    p_v.add_argument("--seed", type=int, default=_default_seed())
+    p_v.add_argument("--seed", type=int)
     p_v.add_argument("--out")
     p_v.add_argument("--format", choices=("json", "csv"), default="json")
     p_v.set_defaults(fn=_cmd_verify)
@@ -176,13 +163,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_k.add_argument("--j", type=int, required=True)
     p_k.add_argument("--N", type=int)
     p_k.add_argument("--samples", type=int, default=100_000)
-    p_k.add_argument("--seed", type=int, default=_default_seed())
+    p_k.add_argument("--seed", type=int)
     p_k.set_defaults(fn=_cmd_constants)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if "seed" in vars(args) and args.seed is None:
+        try:
+            args.seed = sc.env_seed()
+        except sc.ScenarioError as exc:
+            return _validation_failed(exc.errors)
     return args.fn(args)
 
 

@@ -7,10 +7,10 @@ output destination.  REGISTRY declares every check id once: its runner in
 default budget, and its hypotheses.  Loading rejects parameters a check
 does not take and tests every (body, check) combination against the same
 hypotheses that the runner tests before it samples; validation errors
-carry field paths.  `run_check` runs one combination; the CLI and the
-corpus gate call it too.  Execution dispatches checks to a fixed-size
-thread pool, but every check draws from a stream derived only from (seed,
-body index, check index), so reports are bit-identical for any worker count.
+carry field paths.  `run_check` runs one combination; the corpus gate
+calls it too.  `run_scenario` runs every combination in scenario order, each
+drawing from a stream derived only from (seed, check index, body index), so a
+rerun reproduces the reports bit for bit.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ import json
 import math
 import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -134,6 +133,14 @@ def validate_combination(body: bd.ConvexBody, spec: CheckSpec) -> list[str]:
     return errors + cdef.rules.problems(body, cdef.kwargs(p))
 
 
+def combination_problems(checks: list[CheckSpec],
+                         bodies: list[bd.ConvexBody]) -> list[str]:
+    """validate_combination for every (check, body) pair, with field paths."""
+    return [f"checks[{ci}]/bodies[{bi}]({spec.check} on {body.describe()}): {problem}"
+            for ci, spec in enumerate(checks) for bi, body in enumerate(bodies)
+            for problem in validate_combination(body, spec)]
+
+
 def run_check(body: bd.ConvexBody, spec: CheckSpec, rng: RngStream) -> vf.CheckReport:
     """Run one validated check on one body, drawing from rng."""
     cdef = REGISTRY[spec.check]
@@ -189,6 +196,16 @@ def param_problems(spec: CheckSpec) -> list[str]:
     return problems
 
 
+def env_seed() -> int:
+    """The default seed: QUERMASS_SEED, or 0 when it is unset."""
+    raw = os.environ.get("QUERMASS_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ScenarioError(
+            [f"seed: QUERMASS_SEED must be an integer, got {raw!r}"]) from None
+
+
 def _list_field(doc: dict, key: str, errors: list[str]) -> list:
     """doc[key] (default empty) when it is a list; otherwise an error and []."""
     value = doc.get(key, [])
@@ -211,7 +228,7 @@ def load_scenario(source: str | dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError([f"scenario: expected an object, got {type(doc).__name__}"])
     errors: list[str] = []
-    seed = doc.get("seed", int(os.environ.get("QUERMASS_SEED", "0")))
+    seed = doc["seed"] if "seed" in doc else env_seed()
     if isinstance(seed, bool) or not isinstance(seed, int):
         errors.append(f"seed: must be an integer, got {seed!r}")
         seed = 0
@@ -239,11 +256,7 @@ def load_scenario(source: str | dict) -> Scenario:
     out_format = output.get("format", "csv")
     if out_format not in ("csv", "json"):
         errors.append("output.format: must be 'csv' or 'json'")
-    for ci, spec in enumerate(checks):
-        for bi, body in enumerate(bodies):
-            for problem in validate_combination(body, spec):
-                errors.append(f"checks[{ci}]/bodies[{bi}]"
-                              f"({spec.check} on {body.describe()}): {problem}")
+    errors += combination_problems(checks, bodies)
     if errors:
         raise ScenarioError(errors)
     return Scenario(seed=seed, bodies=bodies, checks=checks,
@@ -252,30 +265,19 @@ def load_scenario(source: str | dict) -> Scenario:
 
 def run_scenario(scenario: Scenario) -> list[vf.CheckReport]:
     """Execute every (check, body) pair; report order is scenario order."""
-    jobs = []
+    reports = []
     for ci, spec in enumerate(scenario.checks):
         for bi, body in enumerate(scenario.bodies):
             rng = RngStream(scenario.seed).split_named(f"check-{ci}-body-{bi}")
-            jobs.append((ci, bi, spec, body, rng))
-    workers = max(1, int(os.environ.get("QUERMASS_THREADS", "1")))
-
-    def work(job):
-        ci, bi, spec, body, rng = job
-        try:
-            return run_check(body, spec, rng)
-        except Exception as exc:  # isolate failing checks
-            return vf.CheckReport(
-                check_id=spec.check, body=body.describe(), params=spec.params,
-                lower=None, middle=vf.Estimate.exact(math.nan), upper=None,
-                constants={}, margin_lower=math.nan, margin_upper=math.nan,
-                verdict="error", note=f"{type(exc).__name__}: {exc}",
-                seed=rng.seed)
-
-    if workers == 1:
-        reports = [work(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(work, jobs))
+            try:
+                reports.append(run_check(body, spec, rng))
+            except Exception as exc:  # isolate failing checks
+                reports.append(vf.CheckReport(
+                    check_id=spec.check, body=body.describe(), params=spec.params,
+                    lower=None, middle=vf.Estimate.exact(math.nan), upper=None,
+                    constants={}, margin_lower=math.nan, margin_upper=math.nan,
+                    verdict="error", note=f"{type(exc).__name__}: {exc}",
+                    seed=rng.seed))
     return reports
 
 

@@ -14,8 +14,7 @@ flats come from one chunked iterator, _haar_flats.
 Section quermassintegrals are always computed in the flat's intrinsic
 dimension.  Monte Carlo constants (expected hull volumes over the ball,
 flat-measure calibration) and reference values are computed once per
-parameter tuple, under a per-key lock so that concurrent checks share one
-computation, and cached with their standard errors; downstream margins
+parameter tuple and cached with their standard errors; downstream margins
 combine errors in quadrature.
 """
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -192,23 +190,13 @@ def gamma_thm34_const(n: int, k: int, j: int) -> float:
 
 
 _MC_CONSTANT_CACHE: dict[tuple, Estimate] = {}
-_KEY_LOCKS: dict[tuple, threading.Lock] = {}
-_KEY_LOCKS_GUARD = threading.Lock()
 
 
 def _compute_once(cache: dict, key: tuple, compute) -> Estimate:
-    """cache[key], filled by compute() once even when threads ask together."""
-    value = cache.get(key)
-    if value is not None:
-        return value
-    with _KEY_LOCKS_GUARD:
-        lock = _KEY_LOCKS.setdefault((id(cache), key), threading.Lock())
-    with lock:
-        value = cache.get(key)
-        if value is None:
-            value = compute()
-            cache[key] = value
-    return value
+    """cache[key], filled by compute() on the first request."""
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]
 
 
 def _hull_volumes(x: np.ndarray, include_origin: bool) -> np.ndarray:
@@ -382,7 +370,7 @@ def reference_quermass(body: bd.ConvexBody, j: int, rng: RngStream,
     """W_j(K) for use as the deterministic reference side of a check.
 
     Derived from a stream keyed by the body fingerprint, so every check in
-    a run sees the identical reference value regardless of scheduling.
+    a run sees the identical reference value, whichever check asks first.
     """
     fp = bd.fingerprint(body)
 
@@ -541,38 +529,26 @@ def thm11_check(body: bd.ConvexBody, k: int, j: int,
                    rng.seed, started)
 
 
-@dataclass
-class MaxOverFlats:
-    """Best sampled value of a section functional over Haar subspaces.
+def _max_section_quermass(body: bd.ConvexBody, k: int, j: int, trials: int,
+                          rng: RngStream, sub_samples: int) -> Estimate:
+    """Sampled max of W_j over central (n-k)-dimensional sections.
 
     A lower bound on the true maximum (finite sampling), so inequalities
     with this max on their large side can pass conservatively but never
     hard-fail."""
-
-    best: Estimate
-    best_subspace: gr.Subspace
-    trials: int
-
-
-def _max_section_quermass(body: bd.ConvexBody, k: int, j: int, trials: int,
-                          rng: RngStream, sub_samples: int) -> MaxOverFlats:
-    """Sampled max of W_j over central (n-k)-dimensional sections."""
     n = body.dim
-    best = -math.inf
-    best_flat = None
-    best_est: Estimate | None = None
+    best: Estimate | None = None
+    best_value = -math.inf
     for i, flat in enumerate(_haar_flats(n, n - k, rng.split_named("max"), trials)):
         section = bd.central_section(body, flat)
         if section is None:
             continue
         est = it.quermass_estimate(section, j, sub_samples, rng.split(i))
-        if est.value > best:
-            best = est.value
-            best_flat = flat
-            best_est = est
-    if best_est is None:
+        if est.value > best_value:
+            best, best_value = est, est.value
+    if best is None:
         raise CheckError("all sampled sections were empty")
-    return MaxOverFlats(best=best_est, best_subspace=best_flat, trials=trials)
+    return best
 
 
 def cor12_check(body: bd.ConvexBody, k: int, j: int,
@@ -583,9 +559,9 @@ def cor12_check(body: bd.ConvexBody, k: int, j: int,
     started = time.perf_counter()
     n = body.dim
     _require("cor-1-2", body, k=k, j=j)
-    sampled = _max_section_quermass(body, k, j, flat_trials, rng, sub_samples)
+    best = _max_section_quermass(body, k, j, flat_trials, rng, sub_samples)
     wnk = reference_quermass(body, n - k, rng)
-    middle = wnk.times(sampled.best)
+    middle = wnk.times(best)
     gamma = gamma_cor12_const(n, k, j)
     shrink = shrink_factor(n, k, j)
     ref = reference_quermass(body, j, rng)
@@ -901,14 +877,14 @@ def thm45_check(body: bd.ConvexBody, k: int, j: int,
     n = body.dim
     check_id = "cor-4-8" if centered_variant else "thm-4-5"
     _require(check_id, body, k=k, j=j)
-    sampled = _max_section_quermass(body, k, j, flat_trials, rng, sub_samples)
+    best = _max_section_quermass(body, k, j, flat_trials, rng, sub_samples)
     wref = reference_quermass(body, k + j, rng)
     c_est = (cprime_const if centered_variant else c_const)(
         n, k, j, constant_samples, RngStream(rng.seed))
     lower = c_est.times(wref)
     return _finish(check_id, body.describe(),
                    {"n": n, "k": k, "j": j, "N": flat_trials},
-                   lower, sampled.best, None,
+                   lower, best, None,
                    {"c": c_est.value, "W_{k+j}(K)": wref.value},
                    rng.seed, started, inconclusive_on_lower_fail=True,
                    note="sampled max on the large side")
@@ -924,8 +900,8 @@ def thm13_check(body: bd.ConvexBody, k: int, j: int,
     started = time.perf_counter()
     n = body.dim
     _require("thm-1-3", body, k=k, j=j)
-    sampled = _max_section_quermass(body, k, j, flat_trials, rng, sub_samples)
-    middle = sampled.best.powered(float(n - j))
+    best = _max_section_quermass(body, k, j, flat_trials, rng, sub_samples)
+    middle = best.powered(float(n - j))
     wj = reference_quermass(body, j, rng)
     c_est = c_const(n, k, j, constant_samples, RngStream(rng.seed))
     lower = c_est.powered(float(n - j)).times(

@@ -4,8 +4,6 @@ import itertools
 import json
 import math
 import re
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -293,7 +291,7 @@ def test_readme_checks_table_lists_the_registry():
     assert set(ids) == set(sc.REGISTRY)
 
 
-def test_shared_reference_computed_once_across_threads(monkeypatch):
+def test_shared_reference_computed_once_across_checks(monkeypatch):
     doc = {"seed": 4,
            "bodies": [{"type": "vpolytope", "flags": {"centered": True},
                        "vertices": (np.vstack([np.zeros(3), np.eye(3)])
@@ -302,25 +300,16 @@ def test_shared_reference_computed_once_across_threads(monkeypatch):
                       {"check": "crofton", "k": 1, "j": 1, "samples": 2}]}
     original = it.quermass_estimate
     calls = []
-    lock = threading.Lock()
 
     def counted(body, j, *args, **kwargs):
         if body is scen.bodies[0]:
-            with lock:
-                calls.append(j)
-            time.sleep(0.5)  # hold the key long enough for the other check
+            calls.append(j)
         return original(body, j, *args, **kwargs)
     monkeypatch.setattr(it, "quermass_estimate", counted)
-
-    texts = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("QUERMASS_THREADS", threads)
-        monkeypatch.setattr(vf, "_REF_CACHE", {})
-        scen = sc.load_scenario(doc)
-        calls.clear()
-        texts[threads] = sc.reports_to_csv(sc.run_scenario(scen))
-        assert calls == [1], threads
-    assert texts["1"] == texts["2"]
+    monkeypatch.setattr(vf, "_REF_CACHE", {})
+    scen = sc.load_scenario(doc)
+    sc.run_scenario(scen)
+    assert calls == [1]
 
 
 def test_scenario_empty_checks_ok():
@@ -349,14 +338,8 @@ def _small_scenario(seed=7):
     }
 
 
-def test_scenario_reproducible_across_thread_counts(monkeypatch):
-    scen = sc.load_scenario(_small_scenario())
-    monkeypatch.setenv("QUERMASS_THREADS", "1")
-    csv_one = sc.reports_to_csv(sc.run_scenario(scen))
-    monkeypatch.setenv("QUERMASS_THREADS", "4")
-    csv_four = sc.reports_to_csv(sc.run_scenario(sc.load_scenario(_small_scenario())))
-    assert csv_one == csv_four
-    # and identical under a plain re-run
+def test_scenario_reproducible_across_reruns():
+    csv_one = sc.reports_to_csv(sc.run_scenario(sc.load_scenario(_small_scenario())))
     csv_again = sc.reports_to_csv(sc.run_scenario(sc.load_scenario(_small_scenario())))
     assert csv_one == csv_again
 
@@ -486,3 +469,30 @@ def test_env_seed_default(monkeypatch):
     monkeypatch.setenv("QUERMASS_SEED", "99")
     scen = sc.load_scenario({"bodies": [], "checks": []})
     assert scen.seed == 99
+    # a malformed value matters only to a document without a seed
+    monkeypatch.setenv("QUERMASS_SEED", "1.5")
+    assert sc.load_scenario({"seed": 3, "bodies": [], "checks": []}).seed == 3
+    with pytest.raises(sc.ScenarioError) as err:
+        sc.load_scenario({"bodies": [], "checks": []})
+    assert err.value.errors == ["seed: QUERMASS_SEED must be an integer, got '1.5'"]
+
+
+def test_cli_malformed_env_seed(monkeypatch, capsys):
+    monkeypatch.setenv("QUERMASS_SEED", "abc")
+    args = ["compute", "--body", "corpus:balls", "--j", "0", "--method", "exact"]
+    assert cli.main(args + ["--seed", "2"]) == 0
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    assert ("validation error: seed: QUERMASS_SEED must be an integer, got 'abc'"
+            in capsys.readouterr().err)
+
+
+def test_cli_verify_reports_a_raising_check(monkeypatch, capsys):
+    def broken(body, **kwargs):
+        raise RuntimeError("broken runner")
+    monkeypatch.setitem(sc.REGISTRY, "spingarn",
+                        dataclasses.replace(sc.REGISTRY["spingarn"], runner=broken))
+    rc = cli.main(["verify", "--check", "spingarn", "--body", "corpus:balls",
+                   "--k", "1"])
+    assert rc == 1
+    assert "verdicts: error=4" in capsys.readouterr().out

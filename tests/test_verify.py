@@ -1,7 +1,4 @@
 import math
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -68,34 +65,6 @@ def test_dpp_constant_caching(rng):
     a = vf.dpp_constant(2, 3, True, 20_000, rng)
     b = vf.dpp_constant(2, 3, True, 20_000, rng)
     assert a is b
-
-
-def test_compute_once_under_thread_stress():
-    cache = {}
-    calls = []
-    results = []
-
-    def compute():
-        calls.append(1)
-        time.sleep(0.01)
-        return vf.Estimate.exact(float(len(calls)))
-
-    def ask():
-        results.append(vf._compute_once(cache, ("stress",), compute))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=ask) for _ in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(calls) == 1
-    assert len(results) == 16 and all(r is results[0] for r in results)
 
 
 def test_crofton_ball_closed_form(rng):
