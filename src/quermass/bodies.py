@@ -1,10 +1,11 @@
 """Convex body data model.
 
-A body is one of five representations (ball, box, ellipsoid, V-polytope,
-H-polytope) with its ambient dimension and optional symmetric/centered
-flags.  Bodies are immutable after construction; derived data (hulls,
-halfspace forms, bounding boxes) is cached on first use, so all operations
-stay re-entrant.
+A body is one of four representations (ball, box, ellipsoid, V-polytope)
+with its ambient dimension and optional symmetric/centered flags.  A
+V-polytope gets its hull when it is built, and a polytope given by
+halfspaces (hpolytope) is built as one.  Bodies are immutable after
+construction; other derived data (halfspace forms, bounding boxes,
+volumes) is cached on first use, so all operations stay re-entrant.
 
 Sections and projections are re-expressed in an orthonormal coordinate
 system of the subspace, so the result's ambient dimension is the subspace
@@ -72,8 +73,6 @@ class ConvexBody:
         "halfwidths",
         "shape",
         "vertices",
-        "normals",
-        "offsets",
         "_cache",
     )
 
@@ -149,35 +148,40 @@ def ellipsoid(center, shape, flags: Flags | None = None) -> ConvexBody:
     return body
 
 
-def vpolytope(vertices, flags: Flags | None = None, reduce: bool = True,
-              validated: bool = False) -> ConvexBody:
+def vpolytope(vertices, flags: Flags | None = None) -> ConvexBody:
+    """The convex hull of the rows of vertices, built with its hull.
+
+    The body keeps the hull's extreme points.  Points that do not span
+    their space (the hull's rank test, or Qhull failing) are kept verbatim
+    and the body is marked flat: support, projection and width still work,
+    its volume is 0 and full-dimensional operations are unavailable.  Above
+    pt.MAX_DIM no hull can be built and a rank test alone decides flatness.
+    """
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
     n = v.shape[1]
     body = ConvexBody("vpolytope", n, flags or Flags())
     body.vertices = v
-    if validated:
-        return body
-    if reduce and n <= pt.MAX_DIM:
+    if n <= pt.MAX_DIM:
         try:
             hull = pt.convex_hull(v, n)
         except pt.DegenerateHullError:
-            flat = True
+            body._cache["degenerate"] = True
         else:
-            flat = False
             body.vertices = hull.vertices
             body._cache["hull"] = hull
-    else:
-        flat = len(v) < n + 1 or pt.affine_rank(v) < n
-    if flat:
-        # Flat body: kept verbatim (support/projection/width still work);
-        # volume is 0 and full-dimensional operations are unavailable.
+    elif len(v) < n + 1 or pt.affine_rank(v) < n:
         body._cache["degenerate"] = True
     return body
 
 
-def hpolytope(
-    normals, offsets, flags: Flags | None = None, check_bounded: bool = True
-) -> ConvexBody:
+def hpolytope(normals, offsets, flags: Flags | None = None) -> ConvexBody:
+    """The bounded polytope {x : normals x <= offsets} as a V-polytope.
+
+    The rows are scaled to unit normals and kept as the body's halfspace
+    form; the vertices come from the dual hull about the Chebyshev centre.
+    Raises UnboundedBodyError for an unbounded set and DegenerateBodyError
+    for an empty one or one without interior.
+    """
     a = np.atleast_2d(np.asarray(normals, dtype=float))
     b = np.atleast_1d(np.asarray(offsets, dtype=float))
     if len(a) != len(b):
@@ -187,15 +191,29 @@ def hpolytope(
         raise ValueError("zero normal row")
     a = a / nrm[:, None]
     b = b / nrm
-    body = ConvexBody("hpolytope", a.shape[1], flags or Flags())
-    body.normals = a
-    body.offsets = b
-    if check_bounded:
-        _bbox_hpoly(body)  # raises UnboundedBodyError if needed
-        centre, inradius = _chebyshev(a, b)
-        if centre is None or inradius <= 1e-9:
-            raise DegenerateBodyError("halfspace intersection has empty interior")
+    _require_bounded(a, b)
+    verts = _halfspace_vertices(a, b, min_inradius=1e-9)
+    if len(verts) == 0:
+        raise DegenerateBodyError("halfspace intersection has empty interior")
+    body = vpolytope(verts, flags)
+    body._cache["hrep"] = (a, b)
     return body
+
+
+def _require_bounded(a: np.ndarray, b: np.ndarray) -> None:
+    """Raise UnboundedBodyError unless {x : a x <= b} is bounded along every
+    axis, and DegenerateBodyError when it is empty."""
+    d = a.shape[1]
+    for i in range(d):
+        for sign in (1.0, -1.0):
+            c = np.zeros(d)
+            c[i] = -sign
+            res = linprog(c, A_ub=a, b_ub=b, bounds=[(None, None)] * d,
+                          method="highs")
+            if res.status == 3:
+                raise UnboundedBodyError("halfspace intersection is unbounded")
+            if res.status != 0:
+                raise DegenerateBodyError("infeasible halfspace intersection")
 
 
 def _chebyshev(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, float]:
@@ -236,12 +254,9 @@ def _halfspace_vertices(a: np.ndarray, b: np.ndarray, witness=None,
 def _hull(body: ConvexBody) -> pt.HullComplex:
     hull = body._cache.get("hull")
     if hull is None:
-        if body.kind == "vpolytope":
-            hull = pt.convex_hull(body.vertices, body.dim)
-        elif body.kind in ("hpolytope", "box"):
-            hull = pt.convex_hull(_vrep(body), body.dim)
-        else:
+        if body.kind not in ("vpolytope", "box"):
             raise CapabilityError(f"no hull for kind {body.kind}")
+        hull = pt.convex_hull(_vrep(body), body.dim)
         body._cache["hull"] = hull
     return hull
 
@@ -250,9 +265,7 @@ def _hrep(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     """Normalized halfspace form (A, b) for polytope-like bodies."""
     hrep = body._cache.get("hrep")
     if hrep is None:
-        if body.kind == "hpolytope":
-            hrep = (body.normals, body.offsets)
-        elif body.kind == "box":
+        if body.kind == "box":
             eye = np.eye(body.dim)
             a = np.vstack([eye, -eye])
             b = np.concatenate(
@@ -277,10 +290,6 @@ def _vrep(body: ConvexBody) -> np.ndarray:
                 np.meshgrid(*[[-1.0, 1.0]] * body.dim, indexing="ij")
             ).reshape(body.dim, -1).T
             verts = body.center + corners * body.halfwidths
-        elif body.kind == "hpolytope":
-            verts = _halfspace_vertices(body.normals, body.offsets)
-            if len(verts) <= body.dim:
-                raise DegenerateBodyError("halfspace intersection has no interior")
         else:
             raise CapabilityError(f"no vertex form for kind {body.kind}")
         body._cache["vrep"] = verts
@@ -297,30 +306,10 @@ def bbox(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
         elif body.kind == "ellipsoid":
             half = np.sqrt(np.diag(body.shape))
             cached = (body.center - half, body.center + half)
-        elif body.kind == "vpolytope":
-            cached = (body.vertices.min(axis=0), body.vertices.max(axis=0))
         else:
-            cached = _bbox_hpoly(body)
+            cached = (body.vertices.min(axis=0), body.vertices.max(axis=0))
         body._cache["bbox"] = cached
     return cached
-
-
-def _bbox_hpoly(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
-    d = body.dim
-    lo = np.empty(d)
-    hi = np.empty(d)
-    for i in range(d):
-        for sign, dest in ((1.0, hi), (-1.0, lo)):
-            c = np.zeros(d)
-            c[i] = -sign
-            res = linprog(c, A_ub=body.normals, b_ub=body.offsets,
-                          bounds=[(None, None)] * d, method="highs")
-            if res.status == 3:
-                raise UnboundedBodyError("halfspace intersection is unbounded")
-            if res.status != 0:
-                raise DegenerateBodyError("infeasible halfspace intersection")
-            dest[i] = sign * -res.fun
-    return lo, hi
 
 
 def circumradius(body: ConvexBody) -> float:
@@ -339,8 +328,7 @@ def fingerprint(body: ConvexBody) -> str:
     h = hashlib.sha1()
     h.update(body.kind.encode())
     h.update(np.int64(body.dim).tobytes())
-    for attr in ("center", "radius", "halfwidths", "shape", "vertices", "normals",
-                 "offsets"):
+    for attr in ("center", "radius", "halfwidths", "shape", "vertices"):
         try:
             val = getattr(body, attr)
         except AttributeError:
@@ -456,10 +444,7 @@ def translate(body: ConvexBody, shift) -> ConvexBody:
         return box(body.center + t, body.halfwidths, flags)
     if body.kind == "ellipsoid":
         return ellipsoid(body.center + t, body.shape, flags)
-    if body.kind == "vpolytope":
-        return vpolytope(body.vertices + t, flags, reduce=False)
-    return hpolytope(body.normals, body.offsets + body.normals @ t, flags,
-                     check_bounded=False)
+    return vpolytope(body.vertices + t, flags)
 
 
 def translate_to_centered(body: ConvexBody) -> ConvexBody:
@@ -482,9 +467,7 @@ def scale(body: ConvexBody, factor: float) -> ConvexBody:
         return box(body.center * factor, body.halfwidths * factor, flags)
     if body.kind == "ellipsoid":
         return ellipsoid(body.center * factor, body.shape * factor ** 2, flags)
-    if body.kind == "vpolytope":
-        return vpolytope(body.vertices * factor, flags, reduce=False)
-    return hpolytope(body.normals, body.offsets * factor, flags, check_bounded=False)
+    return vpolytope(body.vertices * factor, flags)
 
 
 def transform_orthogonal(body: ConvexBody, q: np.ndarray) -> ConvexBody:
@@ -495,11 +478,7 @@ def transform_orthogonal(body: ConvexBody, q: np.ndarray) -> ConvexBody:
         return ball(q @ body.center, body.radius, flags)
     if body.kind == "ellipsoid":
         return ellipsoid(q @ body.center, q @ body.shape @ q.T, flags)
-    if body.kind == "box":
-        return vpolytope(_vrep(body) @ q.T, flags)
-    if body.kind == "vpolytope":
-        return vpolytope(body.vertices @ q.T, flags, reduce=False)
-    return hpolytope(body.normals @ q.T, body.offsets, flags, check_bounded=False)
+    return vpolytope(_vrep(body) @ q.T, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +523,7 @@ def affine_section(body: ConvexBody, subspace, point) -> ConvexBody | None:
     p = np.zeros(n) if point is None else np.asarray(point, dtype=float)
     x = p - basis @ (basis.T @ p)
 
-    central = np.allclose(x, 0.0)
+    central = np.abs(x).max() <= 1e-8
     sym = body.flags.symmetric and central
     flags = Flags(symmetric=sym, centered=sym)
 
@@ -582,22 +561,16 @@ def affine_section(body: ConvexBody, subspace, point) -> ConvexBody | None:
     a_sec = a_sec / nrm[:, None]
     b_sec = b_sec / nrm
 
-    # Hyperplane flat through a vertex-represented body: clip boundary edges
-    # against the hyperplane instead of solving constraint systems.
-    if k == n - 1 and body.kind in ("vpolytope", "box", "hpolytope"):
-        pts = _clip_codim1(body, basis, x)
-        if pts is None or len(pts) < k + 1 or pt.affine_rank(pts) < k:
-            return None
-        sec = vpolytope(pts, flags, validated=True)
-        sec._cache["hrep"] = (a_sec, b_sec)
-        return sec
-
-    scale = 1.0 + circumradius(body)
-    verts = _halfspace_vertices(a_sec, b_sec, basis.T @ p, 1e-9 * scale,
-                                1e-12 * scale)
-    if len(verts) < k + 1 or pt.affine_rank(verts) < k:
+    if k == n - 1:
+        # a hyperplane: clip boundary edges instead of solving constraints
+        verts = _clip_codim1(body, basis, x)
+    else:
+        scale = 1.0 + circumradius(body)
+        verts = _halfspace_vertices(a_sec, b_sec, basis.T @ p, 1e-9 * scale,
+                                    1e-12 * scale)
+    sec = vpolytope(verts, flags)
+    if sec._cache.get("degenerate"):
         return None
-    sec = vpolytope(verts, flags, validated=True)
     sec._cache["hrep"] = (a_sec, b_sec)
     return sec
 
@@ -624,9 +597,10 @@ def _boundary_edges(body: ConvexBody) -> np.ndarray:
 
 
 def _clip_codim1(body: ConvexBody, basis: np.ndarray, x: np.ndarray
-                 ) -> np.ndarray | None:
+                 ) -> np.ndarray:
     """Vertices of the section of a polytope by the hyperplane x + span(basis),
-    in basis coordinates: on-plane vertices plus crossed boundary edges."""
+    in basis coordinates: on-plane vertices plus crossed boundary edges
+    (none when the hyperplane misses the polytope)."""
     q_full, _ = np.linalg.qr(basis, mode="complete")
     normal = q_full[:, -1]
     verts = _vrep(body)
@@ -645,7 +619,7 @@ def _clip_codim1(body: ConvexBody, basis: np.ndarray, x: np.ndarray
         t = (h[e[:, 0]] / (h[e[:, 0]] - h[e[:, 1]]))[:, None]
         pieces.append(verts[e[:, 0]] + t * (verts[e[:, 1]] - verts[e[:, 0]]))
     if not pieces:
-        return None
+        return np.empty((0, basis.shape[1]))
     ambient = np.vstack(pieces)
     return (ambient - x) @ basis
 
@@ -800,7 +774,7 @@ def in_dilation(body: ConvexBody, points: np.ndarray, radius: float,
                 max_iter: int = 400) -> np.ndarray:
     """Membership in K + radius*B, i.e. dist(x, K) <= radius.
 
-    Closed forms where available; V/H-polytopes use a Frank-Wolfe distance
+    Closed forms where available; polytopes use a Frank-Wolfe distance
     certifier over the vertex set with primal/dual early exits.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
@@ -883,9 +857,6 @@ def body_to_spec(body: ConvexBody) -> dict:
     elif body.kind == "ellipsoid":
         out["center"] = body.center.tolist()
         out["shape"] = body.shape.tolist()
-    elif body.kind == "vpolytope":
-        out["vertices"] = body.vertices.tolist()
     else:
-        out["normals"] = body.normals.tolist()
-        out["offsets"] = body.offsets.tolist()
+        out["vertices"] = body.vertices.tolist()
     return out

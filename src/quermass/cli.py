@@ -17,18 +17,20 @@ from quermass import integrals as it
 from quermass import scenario as sc
 from quermass import verify as vf
 from quermass.core import RngStream
-from quermass.corpus import corpus
 
 
-def _load_bodies(spec: str) -> list[bd.ConvexBody]:
+def _load_bodies(spec: str, errors: list[str]) -> list[bd.ConvexBody]:
+    """The bodies --body names, a body file or 'corpus:<name>', parsed as a
+    scenario's body entry; problems go to errors."""
     if spec.startswith("corpus:"):
-        return corpus(spec.split(":", 1)[1])
-    with open(spec) as fh:
-        doc = json.load(fh)
-    body = bd.body_from_spec(doc)
-    if "name" in doc:
-        body.with_name(doc["name"])
-    return [body]
+        return sc.parse_body(spec, "--body", errors)
+    try:
+        with open(spec) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        errors.append(f"--body: cannot read {spec}: {exc}")
+        return []
+    return sc.parse_body(doc, "--body", errors)
 
 
 def _validation_failed(errors: list[str]) -> int:
@@ -49,7 +51,10 @@ def _run_and_report(scenario: sc.Scenario) -> int:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    bodies = _load_bodies(args.body)
+    errors: list[str] = []
+    bodies = _load_bodies(args.body, errors)
+    if errors:
+        return _validation_failed(errors)
     rng = RngStream(args.seed)
     for i, body in enumerate(bodies):
         stream = rng.split_named(f"compute-{i}")
@@ -71,11 +76,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    bodies = _load_bodies(args.body)
+    errors: list[str] = []
+    bodies = _load_bodies(args.body, errors)
     params = {key: getattr(args, key) for key in ("n", "k", "j", "N", "samples")
               if getattr(args, key) is not None}
     spec = sc.CheckSpec(check=args.check, params=params)
-    errors = sc.param_problems(spec) + sc.combination_problems([spec], bodies)
+    errors += sc.param_problems(spec) + sc.combination_problems([spec], bodies)
     if errors:
         return _validation_failed(errors)
     return _run_and_report(sc.Scenario(seed=args.seed, bodies=bodies, checks=[spec],

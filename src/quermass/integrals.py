@@ -30,6 +30,7 @@ from quermass import bodies as bd
 from quermass import grassmann as gr
 from quermass import polytope as pt
 from quermass.core import (
+    DegenerateInputError,
     DomainError,
     MeanAccumulator,
     RngStream,
@@ -285,10 +286,10 @@ def quermass_subdim(points: np.ndarray, j: int, sub_samples: int,
     """
     p = np.atleast_2d(np.asarray(points, dtype=float))
     m = len(p)
-    sv = np.linalg.svd(p, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
+    try:
+        basis = orthonormalize(p.T)
+    except DegenerateInputError:
         return None
-    basis = orthonormalize(p.T)
     coords = p @ basis
     body = bd.vpolytope(np.vstack([np.zeros(m), coords]))
     if body._cache.get("degenerate"):

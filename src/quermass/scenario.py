@@ -147,30 +147,33 @@ def run_check(body: bd.ConvexBody, spec: CheckSpec, rng: RngStream) -> vf.CheckR
     return cdef.runner(body, rng=rng, **cdef.kwargs(spec.params))
 
 
-def _parse_bodies(raw_bodies: list, errors: list[str]) -> list[bd.ConvexBody]:
-    out = []
-    for i, entry in enumerate(raw_bodies):
-        path = f"bodies[{i}]"
-        if isinstance(entry, str):
-            if entry.startswith("corpus:"):
-                name = entry.split(":", 1)[1]
-                try:
-                    out.extend(corpus(name))
-                except KeyError as exc:
-                    errors.append(f"{path}: {exc}")
-            else:
-                errors.append(f"{path}: string entries must be 'corpus:<name>'")
-        elif isinstance(entry, dict):
-            try:
-                body = bd.body_from_spec(entry)
-                if "name" in entry:
-                    body.with_name(entry["name"])
-                out.append(body)
-            except Exception as exc:
-                errors.append(f"{path}: {exc}")
-        else:
-            errors.append(f"{path}: expected a body object or 'corpus:<name>'")
-    return out
+def parse_body(entry, path: str, errors: list[str]) -> list[bd.ConvexBody]:
+    """The bodies one entry names: a body object, or 'corpus:<name>' for a
+    whole family.  A problem goes to errors as "<path>: <problem>" and
+    yields no body."""
+    if isinstance(entry, str):
+        if not entry.startswith("corpus:"):
+            errors.append(f"{path}: string entries must be 'corpus:<name>'")
+            return []
+        try:
+            return corpus(entry.split(":", 1)[1])
+        except KeyError as exc:
+            errors.append(f"{path}: {exc}")
+            return []
+    if not isinstance(entry, dict):
+        errors.append(f"{path}: expected a body object or 'corpus:<name>'")
+        return []
+    try:
+        body = bd.body_from_spec(entry)
+    except KeyError as exc:
+        errors.append(f"{path}: missing field {exc}")
+        return []
+    except Exception as exc:
+        errors.append(f"{path}: {exc}")
+        return []
+    if "name" in entry:
+        body.with_name(entry["name"])
+    return [body]
 
 
 _INT_PARAMS = ("n", "k", "j", "N", "samples", "sub_samples")
@@ -232,7 +235,8 @@ def load_scenario(source: str | dict) -> Scenario:
     if isinstance(seed, bool) or not isinstance(seed, int):
         errors.append(f"seed: must be an integer, got {seed!r}")
         seed = 0
-    bodies = _parse_bodies(_list_field(doc, "bodies", errors), errors)
+    bodies = [body for i, entry in enumerate(_list_field(doc, "bodies", errors))
+              for body in parse_body(entry, f"bodies[{i}]", errors)]
     checks = []
     for i, entry in enumerate(_list_field(doc, "checks", errors)):
         path = f"checks[{i}]"

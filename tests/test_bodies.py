@@ -190,7 +190,7 @@ def test_lifted_shadow_points_witness_sections(k, rng, monkeypatch):
     lps = []
     monkeypatch.setattr(bd, "linprog", lambda *a, **kw: lps.append(1) or linprog(*a, **kw))
     polytopes = [b for b in corpus("all")
-                 if b.dim == 4 and b.kind in ("box", "vpolytope", "hpolytope")]
+                 if b.dim == 4 and b.kind in ("box", "vpolytope")]
     assert len(polytopes) == 5
     for b_i, body in enumerate(polytopes):
         normals, offsets = bd._hrep(body)
@@ -220,10 +220,9 @@ def test_vpolytope_takes_one_rank_test(monkeypatch):
         assert len(body.vertices) == len(body._cache["hull"].vertices)
     flat = gen.normal(size=(12, 4))
     flat[:, 3] = 0.5
-    for reduce in (True, False):
-        body = bd.vpolytope(flat, reduce=reduce)
-        assert body._cache["degenerate"] and body.vertices is not None
-        assert bd.volume(body) == 0.0
+    body = bd.vpolytope(flat)
+    assert body._cache["degenerate"] and body.vertices is not None
+    assert bd.volume(body) == 0.0
 
 
 def test_boundary_witness_takes_the_lp(monkeypatch):
@@ -262,7 +261,7 @@ def test_projection_section_product_bounds_volume(rng):
 
 def test_minkowski_sum_examples():
     square = bd.vpolytope(bd._vrep(bd.box(np.zeros(2), np.full(2, 0.5))))
-    origin = bd.vpolytope(np.zeros((1, 2)), validated=True)
+    origin = bd.vpolytope(np.zeros((1, 2)))
     same = bd.minkowski_sum(square, origin)
     assert bd.volume(same) == pytest.approx(1.0, rel=1e-12)
 
@@ -358,6 +357,33 @@ def test_hpolytope_rejects_unbounded():
         bd.hpolytope(np.vstack([np.eye(3), -np.eye(3)[:2]]), np.ones(5))
 
 
+def test_hpolytope_is_its_halfspaces(rng):
+    # the slab -1/2 <= x_1 + x_2 <= 1 cut by |x_i| <= 1, rows not unit
+    a = np.vstack([[2.0, 2.0, 0.0], [-1.0, -1.0, 0.0], np.eye(3), -np.eye(3)])
+    b = np.array([2.0, 0.5, 1, 1, 1, 1, 1, 1])
+    body = bd.hpolytope(a, b)
+    probe = rng.generator().uniform(-1.5, 1.5, size=(2000, 3))
+    assert (bd.contains_batch(body, probe) == (probe @ a.T <= b).all(axis=1)).all()
+    qhull = HalfspaceIntersection(np.hstack([a, -b[:, None]]), np.zeros(3))
+    assert bd.volume(body) == pytest.approx(ConvexHull(qhull.intersections).volume,
+                                            rel=1e-12)
+    for i, (k, point) in enumerate([(2, np.zeros(3)), (2, np.array([0.3, 0.1, 0.5])),
+                                    (1, np.array([0.2, 0.2, -0.4]))]):
+        flat = gr.haar_subspace(3, k, rng.split(i))
+        sec = bd.affine_section(body, flat, point)
+        assert bd.volume(sec) == pytest.approx(
+            _section_oracle(a, b, flat.basis, point), rel=1e-9)
+    assert bd.affine_section(body, np.eye(3)[:, :2], np.array([0.0, 0.0, 2.0])) is None
+
+
+def test_hpolytope_rejects_empty_input():
+    with pytest.raises(bd.DegenerateBodyError):
+        bd.hpolytope(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
+    # a square of zero width has no interior
+    with pytest.raises(bd.DegenerateBodyError):
+        bd.hpolytope(np.vstack([np.eye(2), -np.eye(2)]), np.array([1.0, 0.0, 1.0, 0.0]))
+
+
 @pytest.mark.parametrize("n, facets", [(3, 80), (5, 40)])
 def test_derived_hpolytopes_keep_their_volume(n, facets):
     # tangent halfspaces of the unit sphere: more facets than vertex
@@ -375,7 +401,7 @@ def test_derived_hpolytopes_keep_their_volume(n, facets):
                (bd.transform_orthogonal(body, q), 1.0),
                (bd.translate_to_centered(body), 1.0)]
     for image, factor in derived:
-        assert image.kind == "hpolytope"
+        assert isinstance(image._cache.get("hull"), bd.pt.HullComplex)
         assert bd.volume(image) == pytest.approx(factor * vol, rel=1e-9)
 
 

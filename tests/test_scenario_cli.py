@@ -233,7 +233,7 @@ def test_registry_entries_match_their_runners():
         assert (cdef.default_samples is None) == ("samples" not in cdef.params)
     assert set(vf.HYPOTHESES) == set(sc.REGISTRY)
     # the benchmark scales the Monte Carlo constants through this keyword
-    for cid in ("thm-4-3", "bp-identity", "thm-4-5", "thm-1-3", "thm-4-6"):
+    for cid in ("dpp-spot", "thm-4-3", "bp-identity", "thm-4-5", "thm-1-3", "thm-4-6"):
         assert "constant_samples" in inspect.signature(sc.REGISTRY[cid].runner).parameters
 
 
@@ -431,6 +431,20 @@ def test_cli_verify_validation_error(tmp_path, capsys):
                    "--k", "1", "--j", "1"])
     assert rc == 2
     assert "symmetric" in capsys.readouterr().err
+
+
+def test_cli_bad_body_is_a_validation_error(tmp_path, capsys):
+    bad_file = tmp_path / "ball.json"
+    bad_file.write_text(json.dumps({"type": "ball", "dim": 3}))
+    cases = [(["verify", "--check", "spingarn", "--body", "corpus:nosuch", "--k", "1"],
+              "--body: \"unknown corpus 'nosuch'"),
+             (["compute", "--body", str(bad_file), "--j", "1"],
+              "--body: missing field 'center'"),
+             (["compute", "--body", str(tmp_path / "missing.json"), "--j", "1"],
+              f"--body: cannot read {tmp_path / 'missing.json'}")]
+    for argv, message in cases:
+        assert cli.main(argv) == 2
+        assert f"validation error: {message}" in capsys.readouterr().err
 
 
 def test_cli_scenario_file(tmp_path, capsys):
