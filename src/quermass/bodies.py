@@ -29,7 +29,6 @@ from quermass.core import RngStream, omega
 logger = logging.getLogger(__name__)
 
 MEMBERSHIP_TOL = 1e-9
-DEGENERACY_RTOL = 1e-10
 
 
 class BodyError(Exception):
@@ -395,7 +394,7 @@ def contains_batch(body: ConvexBody, points: np.ndarray,
 
 
 def volume(body: ConvexBody) -> float:
-    """Exact volume.  Degenerate polytopes yield 0 with a logged flag."""
+    """Exact volume; 0 for a polytope marked flat when it was built."""
     vol = body._cache.get("volume")
     if vol is None:
         if body.kind == "ball":
@@ -410,12 +409,7 @@ def volume(body: ConvexBody) -> float:
             v = _vrep(body)[:, 0]
             vol = float(v.max() - v.min())
         else:
-            try:
-                vol = _hull(body).volume()
-            except pt.DegenerateHullError:
-                body._cache["degenerate"] = True
-                logger.warning("degenerate %s: volume set to 0", body.kind)
-                vol = 0.0
+            vol = _hull(body).volume()
         body._cache["volume"] = vol
     return vol
 
@@ -770,8 +764,10 @@ def _ellipsoid_distance(body: ConvexBody, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def in_dilation(body: ConvexBody, points: np.ndarray, radius: float,
-                max_iter: int = 400) -> np.ndarray:
+DILATION_MAX_ITER = 400
+
+
+def in_dilation(body: ConvexBody, points: np.ndarray, radius: float) -> np.ndarray:
     """Membership in K + radius*B, i.e. dist(x, K) <= radius.
 
     Closed forms where available; polytopes use a Frank-Wolfe distance
@@ -791,7 +787,7 @@ def in_dilation(body: ConvexBody, points: np.ndarray, radius: float,
     start = np.argmax(xa @ v.T, axis=1)
     y = v[start]
     undecided = np.ones(len(active), dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(DILATION_MAX_ITER):
         g = y - xa
         f = np.linalg.norm(g, axis=1)
         s_idx = np.argmin(g @ v.T, axis=1)

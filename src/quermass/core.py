@@ -46,10 +46,6 @@ def log_binom(n: int, k: int) -> float:
     return math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
 
 
-def binom(n: int, k: int) -> float:
-    return math.exp(log_binom(n, k))
-
-
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64

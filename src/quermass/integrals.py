@@ -20,7 +20,6 @@ given (seed, budget) regardless of scheduling.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -39,8 +38,6 @@ from quermass.core import (
     omega,
     orthonormalize,
 )
-
-logger = logging.getLogger(__name__)
 
 BATCH = 8192
 
@@ -106,20 +103,6 @@ def batched_mean(samples: int, rng: RngStream, method: str, draw) -> Estimate:
     for batch_id, done in enumerate(range(0, samples, BATCH)):
         acc.add(draw(min(BATCH, samples - done), rng.split(batch_id)))
     return Estimate.from_accumulator(acc, rng.seed, method)
-
-
-@dataclass
-class QuermassVector:
-    """W_0..W_n with per-entry method tags and standard errors."""
-
-    n: int
-    values: np.ndarray
-    errors: np.ndarray
-    methods: list[str]
-
-    def estimate(self, j: int) -> Estimate:
-        return Estimate(float(self.values[j]), float(self.errors[j]), 0, 0,
-                        self.methods[j])
 
 
 def _elementary_symmetric(values: np.ndarray, m: int) -> float:
@@ -309,18 +292,3 @@ def quermass_estimate(body: bd.ConvexBody, j: int, samples: int = 2048,
     if j == body.dim - 1:
         return meanwidth_quermass(body, samples, rng)
     return quermass_kubota(body, j, samples, rng)
-
-
-def quermass_vector(body: bd.ConvexBody, rng: RngStream,
-                    samples: int = 10_000) -> QuermassVector:
-    """All of W_0..W_n, exact entries where possible, MC elsewhere."""
-    n = body.dim
-    values = np.empty(n + 1)
-    errors = np.zeros(n + 1)
-    methods: list[str] = []
-    for j in range(n + 1):
-        est = quermass_estimate(body, j, samples, rng.split(j))
-        values[j] = est.value
-        errors[j] = est.std_error
-        methods.append(est.method)
-    return QuermassVector(n, values, errors, methods)

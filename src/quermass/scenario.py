@@ -3,14 +3,15 @@
 A scenario is a JSON document listing bodies (inline specs or corpus
 references), checks with their parameters and budgets, a seed, and an
 output destination.  REGISTRY declares every check id once: its runner in
-`verify`, the parameters it takes and the runner keywords they become, its
-default budget, and its hypotheses.  Loading rejects parameters a check
-does not take and tests every (body, check) combination against the same
-hypotheses that the runner tests before it samples; validation errors
-carry field paths.  `run_check` runs one combination; the corpus gate
-calls it too.  `run_scenario` runs every combination in scenario order, each
-drawing from a stream derived only from (seed, check index, body index), so a
-rerun reproduces the reports bit for bit.
+`verify`, the parameters it takes (each a keyword of the runner under the
+same name) and its default budget; its hypotheses are verify.HYPOTHESES.
+Loading rejects parameters a check does not take and tests every (body,
+check) combination against the same hypotheses that the runner tests
+before it samples; validation errors carry field paths and the parameter
+names the scenario wrote.  `run_check` runs one combination; the corpus
+gate calls it too.  `run_scenario` runs every combination in scenario
+order, each drawing from a stream derived only from (seed, check index,
+body index), so a rerun reproduces the reports bit for bit.
 """
 from __future__ import annotations
 
@@ -50,24 +51,19 @@ class Scenario:
     out_format: str = "csv"
 
 
-# Scenario parameter -> runner keyword, for the families of checks below.
-_FLAT_AVERAGE = {"k": "k", "j": "j", "samples": "samples", "sub_samples": "sub_samples"}
-_FLAT_MAX = dict(_FLAT_AVERAGE, samples="flat_trials")
-_OFFSET_MAX = dict(_FLAT_AVERAGE, samples="x_samples")
-_HULL_POINTS = {"j": "j", "N": "big_n", "samples": "samples",
-                "sub_samples": "sub_samples"}
+# The scenario parameters of the families of checks below.
+_FLATS = ("k", "j", "samples", "sub_samples")
+_HULL_POINTS = ("j", "N", "samples", "sub_samples")
 
 
 @dataclass(frozen=True)
 class _CheckDef:
     """One stable check id: the verify function that runs it, the scenario
-    parameters it takes (and the runner keywords they become), keywords fixed
-    for this id, the `samples` used when a scenario gives none, and the
-    hypotheses that the runner tests again before it samples."""
+    parameters it takes (each one a keyword of the runner), keywords fixed
+    for this id, and the `samples` used when a scenario gives none."""
 
     runner: Callable[..., vf.CheckReport]
-    params: dict[str, str]
-    rules: vf.Hypotheses
+    params: tuple[str, ...]
     default_samples: int | None = 10_000
     fixed: dict = field(default_factory=dict)
 
@@ -75,46 +71,34 @@ class _CheckDef:
         """Runner keywords for the scenario parameters `params`."""
         out = dict(self.fixed)
         if self.default_samples is not None:
-            out[self.params["samples"]] = self.default_samples
-        out.update((self.params[name], val) for name, val in params.items()
-                   if name in self.params)
+            out["samples"] = self.default_samples
+        out.update((name, val) for name, val in params.items() if name in self.params)
         return out
 
 
-_H = vf.HYPOTHESES
+_CENTERED = {"centered_variant": True}
 REGISTRY: dict[str, _CheckDef] = {
-    "crofton": _CheckDef(vf.crofton_check, _FLAT_AVERAGE, _H["crofton"]),
-    "lemma-rs": _CheckDef(vf.lemma_rs_check, _FLAT_AVERAGE, _H["lemma-rs"]),
-    "thm-1-1": _CheckDef(vf.thm11_check, _FLAT_AVERAGE, _H["thm-1-1"]),
-    "cor-1-2": _CheckDef(vf.cor12_check, _FLAT_MAX, _H["cor-1-2"]),
-    "thm-1-2": _CheckDef(vf.thm12_check, _FLAT_AVERAGE, _H["thm-1-2"]),
-    "thm-3-4": _CheckDef(vf.thm34_check, _FLAT_AVERAGE, _H["thm-3-4"]),
-    "spingarn": _CheckDef(vf.spingarn_check, {"k": "k"}, _H["spingarn"], None),
-    "rs-lower": _CheckDef(vf.rs_lower_check, {"k": "k"}, _H["rs-lower"], None),
-    "fradelizi": _CheckDef(vf.fradelizi_check, {"k": "k", "samples": "x_samples",
-                                                "sub_samples": "sub_samples"},
-                           _H["fradelizi"], 200),
-    "stephen-yaskin": _CheckDef(vf.stephen_yaskin_check, _OFFSET_MAX,
-                                _H["stephen-yaskin"], 200),
-    "dpp-spot": _CheckDef(vf.dpp_spotcheck, {"k": "d", "N": "q", "samples": "samples"},
-                          _H["dpp-spot"], 20_000),
-    "thm-4-3": _CheckDef(vf.thm43_check, _FLAT_AVERAGE, _H["thm-4-3"], 100_000),
-    "cor-4-7": _CheckDef(vf.thm43_check, _FLAT_AVERAGE, _H["cor-4-7"], 100_000,
-                         {"centered_variant": True}),
-    "bp-identity": _CheckDef(vf.bp_identity_check, {"k": "s", "samples": "samples"},
-                             _H["bp-identity"], 4000),
-    "thm-4-5": _CheckDef(vf.thm45_check, _FLAT_MAX, _H["thm-4-5"]),
-    "cor-4-8": _CheckDef(vf.thm45_check, _FLAT_MAX, _H["cor-4-8"],
-                         fixed={"centered_variant": True}),
-    "thm-1-3": _CheckDef(vf.thm13_check, _FLAT_MAX, _H["thm-1-3"]),
-    "thm-4-6": _CheckDef(vf.thm46_check, _HULL_POINTS, _H["thm-4-6"], 100_000),
-    "thm-1-4-centered": _CheckDef(vf.thm46_check, _HULL_POINTS,
-                                  _H["thm-1-4-centered"], 100_000,
-                                  {"centered_variant": True}),
-    "aleksandrov": _CheckDef(vf.aleksandrov_suite, {"samples": "samples"},
-                             _H["aleksandrov"]),
-    "bm-quermass": _CheckDef(vf.bm_quermass_check, {"j": "j", "samples": "samples"},
-                             _H["bm-quermass"]),
+    "crofton": _CheckDef(vf.crofton_check, _FLATS),
+    "lemma-rs": _CheckDef(vf.lemma_rs_check, _FLATS),
+    "thm-1-1": _CheckDef(vf.thm11_check, _FLATS),
+    "cor-1-2": _CheckDef(vf.cor12_check, _FLATS),
+    "thm-1-2": _CheckDef(vf.thm12_check, _FLATS),
+    "thm-3-4": _CheckDef(vf.thm34_check, _FLATS),
+    "spingarn": _CheckDef(vf.spingarn_check, ("k",), None),
+    "rs-lower": _CheckDef(vf.rs_lower_check, ("k",), None),
+    "fradelizi": _CheckDef(vf.fradelizi_check, ("k", "samples", "sub_samples"), 200),
+    "stephen-yaskin": _CheckDef(vf.stephen_yaskin_check, _FLATS, 200),
+    "dpp-spot": _CheckDef(vf.dpp_spotcheck, ("k", "N", "samples"), 20_000),
+    "thm-4-3": _CheckDef(vf.thm43_check, _FLATS, 100_000),
+    "cor-4-7": _CheckDef(vf.thm43_check, _FLATS, 100_000, _CENTERED),
+    "bp-identity": _CheckDef(vf.bp_identity_check, ("k", "samples"), 4000),
+    "thm-4-5": _CheckDef(vf.thm45_check, _FLATS),
+    "cor-4-8": _CheckDef(vf.thm45_check, _FLATS, fixed=_CENTERED),
+    "thm-1-3": _CheckDef(vf.thm13_check, _FLATS),
+    "thm-4-6": _CheckDef(vf.thm46_check, _HULL_POINTS, 100_000),
+    "thm-1-4-centered": _CheckDef(vf.thm46_check, _HULL_POINTS, 100_000, _CENTERED),
+    "aleksandrov": _CheckDef(vf.aleksandrov_suite, ("samples",)),
+    "bm-quermass": _CheckDef(vf.bm_quermass_check, ("j", "samples")),
 }
 _REQUIRED = ("k", "j", "N")
 
@@ -130,7 +114,7 @@ def validate_combination(body: bd.ConvexBody, spec: CheckSpec) -> list[str]:
               if name in cdef.params and p.get(name) is None]
     if "n" in p and p["n"] != n:
         errors.append(f"parameter n={p['n']} does not match body dimension {n}")
-    return errors + cdef.rules.problems(body, cdef.kwargs(p))
+    return errors + vf.HYPOTHESES[spec.check].problems(body, cdef.kwargs(p))
 
 
 def combination_problems(checks: list[CheckSpec],

@@ -7,9 +7,12 @@ verdicts: pass/fail at three combined standard errors, with `inconclusive`
 reserved for bounds whose right-hand side is a sampled maximum (finite flat
 sampling cannot certify a violation of a max-based inequality).
 
-Each check first tests its hypotheses (HYPOTHESES, keyed by check id, which
-scenario validation reads too) and only then draws random numbers.  Haar
-flats come from one chunked iterator, _haar_flats.
+A check's keywords carry the names a scenario gives its parameters (k, j,
+N, samples, sub_samples).  Each check first tests its hypotheses
+(HYPOTHESES, keyed by check id, which scenario validation reads too) and
+only then draws random numbers.  Haar flats come from one chunked
+iterator, _haar_flats, and every sampled maximum over sections from one
+loop, _max_quermass.
 
 Section quermassintegrals are always computed in the flat's intrinsic
 dimension.  Monte Carlo constants (expected hull volumes over the ball,
@@ -23,7 +26,7 @@ import itertools
 import logging
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +44,6 @@ SIGMA_THRESHOLD = 3.0
 EXACT_RTOL = 1e-9
 
 DEFAULT_FLATS = 10_000
-DEFAULT_TUPLES = 100_000
 DEFAULT_CONSTANT_SAMPLES = 100_000
 DEFAULT_SUB_SAMPLES = 512
 DEFAULT_REF_SAMPLES = 20_000
@@ -77,17 +79,12 @@ class Rule:
         return f"need {self.text} ({shown})"
 
 
-def _proper(name: str) -> Rule:
-    """1 <= name <= n-1: the dimension of a proper nonzero subspace."""
-    return Rule(f"1 <= {name} <= n-1", (name,), lambda n, v: 1 <= v <= n - 1)
-
-
-K_RANGE, D_RANGE, S_RANGE = _proper("k"), _proper("d"), _proper("s")
+K_RANGE = Rule("1 <= k <= n-1", ("k",), lambda n, k: 1 <= k <= n - 1)
 KJ_RANGE = Rule("1 <= k <= n-1 and 0 <= j <= n-k-1", ("k", "j"),
                 lambda n, k, j: 1 <= k <= n - 1 and 0 <= j <= n - k - 1)
 J_RANGE = Rule("0 <= j <= n-1", ("j",), lambda n, j: 0 <= j <= n - 1)
-N_POINTS = Rule("N >= n+1", ("big_n",), lambda n, big_n: big_n >= n + 1)
-Q_POSITIVE = Rule("q >= 1", ("q",), lambda n, q: q >= 1)
+N_POINTS = Rule("N >= n+1", ("N",), lambda n, N: N >= n + 1)
+N_POSITIVE = Rule("N >= 1", ("N",), lambda n, N: N >= 1)
 
 
 @dataclass(frozen=True)
@@ -123,10 +120,10 @@ HYPOTHESES: dict[str, Hypotheses] = {
     "rs-lower": Hypotheses((K_RANGE,), symmetric=True),
     "fradelizi": Hypotheses((K_RANGE,), centered=True),
     "stephen-yaskin": Hypotheses((KJ_RANGE,), centered=True),
-    "dpp-spot": Hypotheses((D_RANGE, Q_POSITIVE)),
+    "dpp-spot": Hypotheses((K_RANGE, N_POSITIVE)),
     "thm-4-3": Hypotheses((KJ_RANGE,), symmetric=True),
     "cor-4-7": Hypotheses((KJ_RANGE,), centered=True),
-    "bp-identity": Hypotheses((S_RANGE,)),
+    "bp-identity": Hypotheses((K_RANGE,)),
     "thm-4-5": Hypotheses((KJ_RANGE,), symmetric=True),
     "cor-4-8": Hypotheses((KJ_RANGE,), centered=True),
     "thm-1-3": Hypotheses((KJ_RANGE,), symmetric=True),
@@ -279,9 +276,8 @@ def bp_calibrate(n: int, s: int, samples: int, rng: RngStream) -> Estimate:
     E[|conv{0, X_1..X_s}|^{n-s}]) with X_i uniform in the unit s-ball.
     For s = 1 this closes to n omega_n / 2.
     """
-    problem = S_RANGE.problem(n, {"s": s})
-    if problem:
-        raise PreconditionError(problem)
+    if not 1 <= s <= n - 1:
+        raise PreconditionError(f"need 1 <= s <= n-1 (n={n}, s={s})")
 
     def compute() -> Estimate:
         inner = it.batched_mean(samples, rng, "bp-mc", lambda take, stream: (
@@ -435,6 +431,37 @@ def _affine_flat(body: bd.ConvexBody, flat: gr.Subspace,
     return lifts[0], bd.volume(shadow)
 
 
+def _max_quermass(sections: Iterable[bd.ConvexBody | None], j: int,
+                  sub_samples: int, rng: RngStream) -> tuple[Estimate, int]:
+    """(estimate, index) of the largest W_j among sections, section i
+    estimated on rng.split(i); None (an empty section) is skipped.  Only a
+    strictly larger value replaces the best, so the first of equal maxima
+    wins and a NaN never does.
+
+    A sampled max is a lower bound on the true maximum (finite sampling),
+    so an inequality with it on its large side can pass conservatively but
+    never hard-fail."""
+    best, best_i, best_value = None, -1, -math.inf
+    for i, section in enumerate(sections):
+        if section is None:
+            continue
+        est = it.quermass_estimate(section, j, sub_samples, rng.split(i))
+        if est.value > best_value:
+            best, best_i, best_value = est, i, est.value
+    if best is None:
+        raise CheckError("all sampled sections were empty")
+    return best, best_i
+
+
+def _central_sections(body: bd.ConvexBody, k: int, count: int,
+                      rng: RngStream) -> Iterator[bd.ConvexBody | None]:
+    """The central sections by count Haar (n-k)-subspaces drawn from
+    rng.split_named("max")."""
+    n = body.dim
+    return (bd.central_section(body, flat)
+            for flat in _haar_flats(n, n - k, rng.split_named("max"), count))
+
+
 # ---------------------------------------------------------------------------
 # flat-average identities and bounds
 
@@ -529,37 +556,16 @@ def thm11_check(body: bd.ConvexBody, k: int, j: int,
                    rng.seed, started)
 
 
-def _max_section_quermass(body: bd.ConvexBody, k: int, j: int, trials: int,
-                          rng: RngStream, sub_samples: int) -> Estimate:
-    """Sampled max of W_j over central (n-k)-dimensional sections.
-
-    A lower bound on the true maximum (finite sampling), so inequalities
-    with this max on their large side can pass conservatively but never
-    hard-fail."""
-    n = body.dim
-    best: Estimate | None = None
-    best_value = -math.inf
-    for i, flat in enumerate(_haar_flats(n, n - k, rng.split_named("max"), trials)):
-        section = bd.central_section(body, flat)
-        if section is None:
-            continue
-        est = it.quermass_estimate(section, j, sub_samples, rng.split(i))
-        if est.value > best_value:
-            best, best_value = est, est.value
-    if best is None:
-        raise CheckError("all sampled sections were empty")
-    return best
-
-
 def cor12_check(body: bd.ConvexBody, k: int, j: int,
-                flat_trials: int = 2000, rng: RngStream = RngStream(0),
+                samples: int = 2000, rng: RngStream = RngStream(0),
                 sub_samples: int = DEFAULT_SUB_SAMPLES) -> CheckReport:
     """gamma * shrink * W_j(K) <= W_{n-k}(K) * max_F W_j(K cap F), with the
     max approximated by sampling (pass is conservative-valid)."""
     started = time.perf_counter()
     n = body.dim
     _require("cor-1-2", body, k=k, j=j)
-    best = _max_section_quermass(body, k, j, flat_trials, rng, sub_samples)
+    best, _ = _max_quermass(_central_sections(body, k, samples, rng), j,
+                            sub_samples, rng)
     wnk = reference_quermass(body, n - k, rng)
     middle = wnk.times(best)
     gamma = gamma_cor12_const(n, k, j)
@@ -567,7 +573,7 @@ def cor12_check(body: bd.ConvexBody, k: int, j: int,
     ref = reference_quermass(body, j, rng)
     lower = ref.scaled(gamma * shrink)
     return _finish("cor-1-2", body.describe(),
-                   {"n": n, "k": k, "j": j, "N": flat_trials},
+                   {"n": n, "k": k, "j": j, "N": samples},
                    lower, middle, None,
                    {"gamma": gamma, "shrink": shrink, "W_j(K)": ref.value,
                     "W_{n-k}(K)": wnk.value},
@@ -670,28 +676,22 @@ def rs_lower_check(body: bd.ConvexBody, k: int | None = None, flat=None,
 
 
 def _offset_section_max(body: bd.ConvexBody, flat: gr.Subspace, j: int,
-                        x_samples: int, rng: RngStream, sub_samples: int
-                        ) -> tuple[float, np.ndarray]:
-    """Sampled max over offsets x in the shadow of W_j(K cap (x + F-perp)),
-    always including the central offset x = 0."""
-    comp = flat.complement()
-    shadow = bd.project(body, flat)
-    _, lifts = bd.sample_lifted_with(shadow, x_samples,
+                        samples: int, rng: RngStream, sub_samples: int
+                        ) -> tuple[Estimate, np.ndarray]:
+    """Sampled max over offsets x in the shadow of W_j(K cap (x + F-perp))
+    and its offset x, over x = 0 and `samples` lifts; lift i is estimated
+    on rng.split(i + 1)."""
+    _, lifts = bd.sample_lifted_with(bd.project(body, flat), samples,
                                      rng.split_named("xs").generator())
-    best_val = -math.inf
-    best_x = np.zeros(body.dim)
-    for i in range(-1, x_samples):
-        p = np.zeros(body.dim) if i < 0 else lifts[i]
-        section = bd.affine_section(body, comp, p)
-        val = _section_quermass(section, j, sub_samples, rng.split(i + 1))
-        if val > best_val:
-            best_val = val
-            best_x = flat.basis @ (flat.basis.T @ p)
-    return best_val, best_x
+    points = np.vstack([np.zeros(body.dim), lifts])
+    comp = flat.complement()
+    best, i = _max_quermass((bd.affine_section(body, comp, p) for p in points),
+                            j, sub_samples, rng)
+    return best, flat.basis @ (flat.basis.T @ points[i])
 
 
 def fradelizi_check(body: bd.ConvexBody, k: int | None = None, flat=None,
-                    x_samples: int = 200, rng: RngStream = RngStream(0),
+                    samples: int = 200, rng: RngStream = RngStream(0),
                     sub_samples: int = DEFAULT_SUB_SAMPLES) -> CheckReport:
     """max_x |K cap (x + F-perp)| <= ((n+1)/(n-k+1))^(n-k) |K cap F-perp|
     for centered bodies; the max is sampled, so a pass is not a certificate
@@ -699,13 +699,13 @@ def fradelizi_check(body: bd.ConvexBody, k: int | None = None, flat=None,
     started = time.perf_counter()
     n = body.dim
     k, flat = _resolve_flat("fradelizi", body, k, flat, rng)
-    best, best_x = _offset_section_max(body, flat, 0, x_samples, rng, sub_samples)
+    best, best_x = _offset_section_max(body, flat, 0, samples, rng, sub_samples)
     central = bd.central_section(body, flat.complement())
     cvol = bd.volume(central) if central is not None else 0.0
     factor = fradelizi_factor(n, k)
-    middle = Estimate.exact(best)
+    middle = Estimate.exact(best.value)
     upper = Estimate.exact(factor * cvol)
-    rep = _finish("fradelizi", body.describe(), {"n": n, "k": k, "N": x_samples},
+    rep = _finish("fradelizi", body.describe(), {"n": n, "k": k, "N": samples},
                   None, middle, upper,
                   {"factor": factor, "central_volume": cvol},
                   rng.seed, started, note="sampled max on the small side")
@@ -714,7 +714,7 @@ def fradelizi_check(body: bd.ConvexBody, k: int | None = None, flat=None,
 
 
 def stephen_yaskin_check(body: bd.ConvexBody, j: int, k: int | None = None,
-                         flat=None, x_samples: int = 200,
+                         flat=None, samples: int = 200,
                          rng: RngStream = RngStream(0),
                          sub_samples: int = DEFAULT_SUB_SAMPLES) -> CheckReport:
     """max_x W_j(K cap (x + F-perp)) <= ((n+1)/(n-k-j+1))^(n-k-j) times the
@@ -722,14 +722,14 @@ def stephen_yaskin_check(body: bd.ConvexBody, j: int, k: int | None = None,
     started = time.perf_counter()
     n = body.dim
     k, flat = _resolve_flat("stephen-yaskin", body, k, flat, rng, j=j)
-    best, best_x = _offset_section_max(body, flat, j, x_samples, rng, sub_samples)
+    best, best_x = _offset_section_max(body, flat, j, samples, rng, sub_samples)
     central = bd.central_section(body, flat.complement())
     wc = it.quermass_estimate(central, j, 4 * sub_samples, rng.split_named("central"))
     factor = stephen_yaskin_factor(n, k, j)
-    middle = Estimate.exact(best)
+    middle = Estimate.exact(best.value)
     upper = wc.scaled(factor)
     rep = _finish("stephen-yaskin", body.describe(),
-                  {"n": n, "k": k, "j": j, "N": x_samples},
+                  {"n": n, "k": k, "j": j, "N": samples},
                   None, middle, upper,
                   {"factor": factor, "central_wj": wc.value},
                   rng.seed, started, note="sampled max on the small side")
@@ -741,37 +741,38 @@ def stephen_yaskin_check(body: bd.ConvexBody, j: int, k: int | None = None,
 # random-hull functionals
 
 
-def dpp_spotcheck(body: bd.ConvexBody, d: int, q: int,
+NORM_PROBES = 256
+
+
+def dpp_spotcheck(body: bd.ConvexBody, k: int, N: int,
                   samples: int = 20_000, rng: RngStream = RngStream(0),
-                  norm_probes: int = 256,
                   constant_samples: int = DEFAULT_CONSTANT_SAMPLES) -> CheckReport:
     """Spot check of the marginal-density lower bound: the expected hull
-    volume of q projected uniform points dominates
-    (|K| / (omega_d * max section volume))^(m/d) times the ball constant.
+    volume of the shadows of N uniform points on a Haar k-subspace dominates
+    (|K| / (omega_k * max section volume))^(min(N, k)/k) times the ball
+    constant.
 
-    The max section volume is sampled, which overestimates the bound's
-    right side, so a pass is conservative-valid."""
+    The max section volume is sampled over the central section and
+    NORM_PROBES sections through uniform points, which overestimates the
+    bound's right side, so a pass is conservative-valid."""
     started = time.perf_counter()
     n = body.dim
-    _require("dpp-spot", body, d=d, q=q)
-    flat = gr.haar_subspace(n, d, rng.split_named("marginal-flat"))
+    _require("dpp-spot", body, k=k, N=N)
+    flat = gr.haar_subspace(n, k, rng.split_named("marginal-flat"))
     comp = flat.complement()
-    pts = bd.sample_uniform(body, samples * q, rng.split_named("tuples"))
-    proj = (pts @ flat.basis).reshape(samples, q, d)
+    pts = bd.sample_uniform(body, samples * N, rng.split_named("tuples"))
+    proj = (pts @ flat.basis).reshape(samples, N, k)
     middle = Estimate.from_values(_hull_volumes(proj, True), rng.seed, "marginal-mc")
 
-    probe_pts = bd.sample_uniform(body, norm_probes, rng.split_named("probes"))
-    fmax = 0.0
-    for i in range(-1, norm_probes):
-        section = bd.affine_section(body, comp, None if i < 0 else probe_pts[i])
-        if section is not None:
-            fmax = max(fmax, bd.volume(section))
-    m = min(q, d)
-    ratio = (bd.volume(body) / (omega(d) * fmax)) ** (m / d)
-    const = dpp_constant(d, q, True, constant_samples,
-                         RngStream(rng.seed).split_named(f"dpp-{d}-{q}"))
+    probes = bd.sample_uniform(body, NORM_PROBES, rng.split_named("probes"))
+    points = np.vstack([np.zeros(n), probes])
+    fmax = _max_quermass((bd.affine_section(body, comp, p) for p in points),
+                         0, 0, rng)[0].value
+    ratio = (bd.volume(body) / (omega(k) * fmax)) ** (min(N, k) / k)
+    const = dpp_constant(k, N, True, constant_samples,
+                         RngStream(rng.seed).split_named(f"dpp-{k}-{N}"))
     lower = const.scaled(ratio)
-    return _finish("dpp-spot", body.describe(), {"n": n, "k": d, "N": q},
+    return _finish("dpp-spot", body.describe(), {"n": n, "k": k, "N": N},
                    lower, middle, None,
                    {"ratio": ratio, "f_max": fmax, "ball_constant": const.value},
                    rng.seed, started, note="sampled max inflates the bound")
@@ -827,30 +828,30 @@ def thm43_check(body: bd.ConvexBody, k: int, j: int,
                    rng.seed, started)
 
 
-def bp_identity_check(body: bd.ConvexBody, s: int,
+def bp_identity_check(body: bd.ConvexBody, k: int,
                       samples: int = 4000, rng: RngStream = RngStream(0),
                       constant_samples: int = DEFAULT_CONSTANT_SAMPLES) -> CheckReport:
-    """With the calibrated p(n,s), the flat decomposition of the s-point
-    product integral recovers |K|^s on an arbitrary body."""
+    """With the calibrated p(n,k), the decomposition over Haar k-subspaces
+    of the k-point product integral recovers |K|^k on an arbitrary body."""
     started = time.perf_counter()
     n = body.dim
-    _require("bp-identity", body, s=s)
-    p_est = bp_calibrate(n, s, constant_samples,
-                         RngStream(rng.seed).split_named(f"bp-{n}-{s}"))
+    _require("bp-identity", body, k=k)
+    p_est = bp_calibrate(n, k, constant_samples,
+                         RngStream(rng.seed).split_named(f"bp-{n}-{k}"))
     # an empty or zero-volume section adds 0
     vols = np.zeros(samples)
-    tuples = np.zeros((samples, s, s))
+    tuples = np.zeros((samples, k, k))
     for i in range(samples):
         sub = rng.split(i)
-        section = bd.central_section(body, gr.haar_subspace(n, s, sub))
+        section = bd.central_section(body, gr.haar_subspace(n, k, sub))
         vols[i] = 0.0 if section is None else bd.volume(section)
         if vols[i] > 0.0:
-            tuples[i] = bd.sample_uniform(section, s, sub.split_named("pts"))
-    inner = Estimate.from_values(vols ** s * _hull_volumes(tuples, True) ** (n - s),
+            tuples[i] = bd.sample_uniform(section, k, sub.split_named("pts"))
+    inner = Estimate.from_values(vols ** k * _hull_volumes(tuples, True) ** (n - k),
                                  rng.seed, "bp-mc")
     middle = inner.times(p_est)
-    target = Estimate.exact(bd.volume(body) ** s)
-    return _finish("bp-identity", body.describe(), {"n": n, "k": s, "N": samples},
+    target = Estimate.exact(bd.volume(body) ** k)
+    return _finish("bp-identity", body.describe(), {"n": n, "k": k, "N": samples},
                    target, middle, target,
                    {"p(n,s)": p_est.value, "p_sigma": p_est.std_error,
                     "|K|^s": target.value},
@@ -858,7 +859,7 @@ def bp_identity_check(body: bd.ConvexBody, s: int,
 
 
 def thm45_check(body: bd.ConvexBody, k: int, j: int,
-                flat_trials: int = 2000, rng: RngStream = RngStream(0),
+                samples: int = 2000, rng: RngStream = RngStream(0),
                 sub_samples: int = DEFAULT_SUB_SAMPLES,
                 centered_variant: bool = False,
                 constant_samples: int = DEFAULT_CONSTANT_SAMPLES) -> CheckReport:
@@ -868,13 +869,14 @@ def thm45_check(body: bd.ConvexBody, k: int, j: int,
     n = body.dim
     check_id = "cor-4-8" if centered_variant else "thm-4-5"
     _require(check_id, body, k=k, j=j)
-    best = _max_section_quermass(body, k, j, flat_trials, rng, sub_samples)
+    best, _ = _max_quermass(_central_sections(body, k, samples, rng), j,
+                            sub_samples, rng)
     wref = reference_quermass(body, k + j, rng)
     c_est = (cprime_const if centered_variant else c_const)(
         n, k, j, constant_samples, RngStream(rng.seed))
     lower = c_est.times(wref)
     return _finish(check_id, body.describe(),
-                   {"n": n, "k": k, "j": j, "N": flat_trials},
+                   {"n": n, "k": k, "j": j, "N": samples},
                    lower, best, None,
                    {"c": c_est.value, "W_{k+j}(K)": wref.value},
                    rng.seed, started, inconclusive_on_lower_fail=True,
@@ -882,7 +884,7 @@ def thm45_check(body: bd.ConvexBody, k: int, j: int,
 
 
 def thm13_check(body: bd.ConvexBody, k: int, j: int,
-                flat_trials: int = 2000, rng: RngStream = RngStream(0),
+                samples: int = 2000, rng: RngStream = RngStream(0),
                 sub_samples: int = DEFAULT_SUB_SAMPLES,
                 constant_samples: int = DEFAULT_CONSTANT_SAMPLES) -> CheckReport:
     """W_j(K)^(n-k-j) <= (omega_n^k c^(n-j))^{-1} max_F W_j(K cap F)^(n-j),
@@ -891,7 +893,8 @@ def thm13_check(body: bd.ConvexBody, k: int, j: int,
     started = time.perf_counter()
     n = body.dim
     _require("thm-1-3", body, k=k, j=j)
-    best = _max_section_quermass(body, k, j, flat_trials, rng, sub_samples)
+    best, _ = _max_quermass(_central_sections(body, k, samples, rng), j,
+                            sub_samples, rng)
     middle = best.powered(float(n - j))
     wj = reference_quermass(body, j, rng)
     c_est = c_const(n, k, j, constant_samples, RngStream(rng.seed))
@@ -904,7 +907,7 @@ def thm13_check(body: bd.ConvexBody, k: int, j: int,
                           _combined_sigma(alek_lhs, alek_rhs),
                           abs(alek_lhs.value) + abs(alek_rhs.value))
     rep = _finish("thm-1-3", body.describe(),
-                  {"n": n, "k": k, "j": j, "N": flat_trials},
+                  {"n": n, "k": k, "j": j, "N": samples},
                   lower, middle, None,
                   {"c": c_est.value, "W_j(K)": wj.value, "W_{k+j}(K)": wkj.value},
                   rng.seed, started, inconclusive_on_lower_fail=True,
@@ -915,7 +918,7 @@ def thm13_check(body: bd.ConvexBody, k: int, j: int,
     return rep
 
 
-def thm46_check(body: bd.ConvexBody, j: int, big_n: int,
+def thm46_check(body: bd.ConvexBody, j: int, N: int,
                 samples: int = 20_000, rng: RngStream = RngStream(0),
                 sub_samples: int = DEFAULT_SUB_SAMPLES,
                 centered_variant: bool = False,
@@ -924,9 +927,9 @@ def thm46_check(body: bd.ConvexBody, j: int, big_n: int,
     started = time.perf_counter()
     n = body.dim
     check_id = "thm-1-4-centered" if centered_variant else "thm-4-6"
-    _require(check_id, body, j=j, big_n=big_n)
-    pts = bd.sample_uniform(body, samples * big_n, rng.split_named("tuples"))
-    tuples = pts.reshape(samples, big_n, n)
+    _require(check_id, body, j=j, N=N)
+    pts = bd.sample_uniform(body, samples * N, rng.split_named("tuples"))
+    tuples = pts.reshape(samples, N, n)
     vals = np.empty(samples)
     degenerate = 0
     for i in range(samples):
@@ -939,11 +942,11 @@ def thm46_check(body: bd.ConvexBody, j: int, big_n: int,
                                        rng.split(i)).value
     middle = Estimate.from_values(vals, rng.seed, "tuple-mc")
     wref = reference_quermass(body, j, rng)
-    c_est = c46_const(n, big_n, j, constant_samples, RngStream(rng.seed),
+    c_est = c46_const(n, N, j, constant_samples, RngStream(rng.seed),
                       centered=centered_variant)
     lower = c_est.times(wref)
     return _finish(check_id, body.describe(),
-                   {"n": n, "j": j, "N": big_n, "samples": samples},
+                   {"n": n, "j": j, "N": N, "samples": samples},
                    lower, middle, None,
                    {"c": c_est.value, "W_j(K)": wref.value,
                     "degenerate_tuples": degenerate},
@@ -961,10 +964,9 @@ def aleksandrov_suite(body: bd.ConvexBody, rng: RngStream = RngStream(0),
     started = time.perf_counter()
     n = body.dim
     _require("aleksandrov", body)
-    qv = it.quermass_vector(body, rng, samples)
-    q_ests = []
-    for j in range(1, n + 1):
-        q_ests.append(qv.estimate(n - j).scaled(1.0 / omega(n)).powered(1.0 / j))
+    w = [it.quermass_estimate(body, j, samples, rng.split(j)) for j in range(n + 1)]
+    q_ests = [w[n - j].scaled(1.0 / omega(n)).powered(1.0 / j)
+              for j in range(1, n + 1)]
     chain = []
     for j in range(len(q_ests) - 1):
         a, b = q_ests[j], q_ests[j + 1]
@@ -988,7 +990,7 @@ def aleksandrov_suite(body: bd.ConvexBody, rng: RngStream = RngStream(0),
         note="margin is the worst of the chain and sandwich comparisons",
         seed=rng.seed, wall_time=time.perf_counter() - started,
         details={"chain_margins": chain, "sandwich_margins": sandwich,
-                 "methods": qv.methods},
+                 "methods": [est.method for est in w]},
     )
     return rep
 

@@ -126,7 +126,7 @@ def test_criterion_4_section_average_suite():
                                   sub_samples=256),
                 vf.thm11_check(body, k, j, samples=flats, rng=sub.split(1),
                                sub_samples=256),
-                vf.cor12_check(body, k, j, flat_trials=flats, rng=sub.split(2),
+                vf.cor12_check(body, k, j, samples=flats, rng=sub.split(2),
                                sub_samples=256),
                 vf.thm34_check(body, k, j, samples=flats, rng=sub.split(3),
                                sub_samples=256),
@@ -194,11 +194,11 @@ def test_criterion_6_random_hull_bounds():
             sub = rng.split_named(f"n{n}-j{j}")
             reports = [
                 vf.thm43_check(sym[n], 1, j, samples=8000, rng=sub.split(0)),
-                vf.thm45_check(sym[n], 1, j, flat_trials=600, rng=sub.split(1)),
-                vf.thm13_check(sym[n], 1, j, flat_trials=600, rng=sub.split(2)),
+                vf.thm45_check(sym[n], 1, j, samples=600, rng=sub.split(1)),
+                vf.thm13_check(sym[n], 1, j, samples=600, rng=sub.split(2)),
                 vf.thm43_check(cen[n], 1, j, samples=8000, rng=sub.split(3),
                                centered_variant=True),
-                vf.thm45_check(cen[n], 1, j, flat_trials=600, rng=sub.split(4),
+                vf.thm45_check(cen[n], 1, j, samples=600, rng=sub.split(4),
                                centered_variant=True),
             ]
             for rep in reports:

@@ -164,9 +164,14 @@ _BALL_3D = {"type": "ball", "dim": 3, "center": [0, 0, 0], "radius": 1.0,
 
 
 def test_scenario_validation_rejects_out_of_range_n_and_j():
-    # both used to load and then end in an `error` verdict at run time
-    for entry, text in (({"check": "dpp-spot", "k": 1, "N": 0}, "q >= 1"),
-                        ({"check": "dpp-spot", "k": 1, "N": -2}, "q >= 1"),
+    # both used to load and then end in an `error` verdict at run time;
+    # messages name the parameters as the scenario wrote them
+    for entry, text in (({"check": "dpp-spot", "k": 1, "N": 0}, "N >= 1"),
+                        ({"check": "dpp-spot", "k": 1, "N": -2}, "N >= 1"),
+                        ({"check": "dpp-spot", "k": 4, "N": 3}, "(n=3, k=4)"),
+                        ({"check": "bp-identity", "k": 3}, "(n=3, k=3)"),
+                        ({"check": "thm-4-6", "j": 1, "N": 3},
+                         "need N >= n+1 (n=3, N=3)"),
                         ({"check": "bm-quermass", "j": 3}, "0 <= j <= n-1"),
                         ({"check": "bm-quermass", "j": -1}, "0 <= j <= n-1")):
         with pytest.raises(sc.ScenarioError) as err:
@@ -225,11 +230,11 @@ def test_registry_entries_match_their_runners():
     for cid, cdef in sc.REGISTRY.items():
         assert cdef.runner.__name__
         runner_params = inspect.signature(cdef.runner).parameters
-        for keyword in [*cdef.params.values(), *cdef.fixed, "rng"]:
+        # a scenario parameter is the runner keyword of the same name
+        for keyword in [*cdef.params, *cdef.fixed, "rng"]:
             assert keyword in runner_params, (cid, keyword)
-        assert cdef.rules is vf.HYPOTHESES[cid]
-        for rule in cdef.rules.rules:
-            assert set(rule.names) <= set(cdef.params.values()), (cid, rule.text)
+        for rule in vf.HYPOTHESES[cid].rules:
+            assert set(rule.names) <= set(cdef.params), (cid, rule.text)
         assert (cdef.default_samples is None) == ("samples" not in cdef.params)
     assert set(vf.HYPOTHESES) == set(sc.REGISTRY)
     # the benchmark scales the Monte Carlo constants through this keyword

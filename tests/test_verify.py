@@ -161,7 +161,7 @@ def test_thm11_cube_and_simplex(rng):
 
 
 def test_cor12_ball_closed_forms(rng):
-    rep = vf.cor12_check(ball3(), 1, 1, flat_trials=100, rng=rng)
+    rep = vf.cor12_check(ball3(), 1, 1, samples=100, rng=rng)
     assert rep.lower.value == pytest.approx(math.pi ** 3 / 6, rel=1e-9)
     assert rep.middle.value == pytest.approx(4 * math.pi / 3 * math.pi, rel=1e-9)
     assert rep.verdict == "pass"
@@ -173,8 +173,28 @@ def test_cor12_never_hard_fails(rng):
     g = gen.standard_normal((20, 4))
     body = bd.vpolytope(np.vstack([g, -g]),
                         bd.Flags(symmetric=True)).with_name("randsym-4d")
-    rep = vf.cor12_check(body, 1, 1, flat_trials=40, rng=rng, sub_samples=128)
+    rep = vf.cor12_check(body, 1, 1, samples=40, rng=rng, sub_samples=128)
     assert rep.verdict in ("pass", "inconclusive")
+
+
+def test_max_quermass_skips_empty_sections_and_nan(monkeypatch):
+    # a "section" here is its own W_j; the loop's choice is under test
+    streams = []
+
+    def estimate(section, j, sub_samples, rng):
+        streams.append(rng)
+        return vf.Estimate.exact(section)
+
+    monkeypatch.setattr(vf.it, "quermass_estimate", estimate)
+    rng = RngStream(5)
+    best, i = vf._max_quermass([None, 1.0, math.nan, 3.0, None, 3.0, 2.0], 1, 8, rng)
+    assert (best.value, i) == (3.0, 3)  # the first of equal maxima
+    assert streams == [rng.split(i) for i in (1, 2, 3, 5, 6)]
+    best, i = vf._max_quermass([math.nan, 0.5, math.nan], 1, 8, rng)
+    assert (best.value, i) == (0.5, 1)
+    for sections in ([None, None], []):
+        with pytest.raises(vf.CheckError, match="empty"):
+            vf._max_quermass(iter(sections), 1, 8, rng)
 
 
 def test_thm12_ball_equality(rng):
@@ -209,7 +229,7 @@ def test_spingarn_and_rs_lower_cube_equality(rng):
 
 
 def test_fradelizi_ball(rng):
-    rep = vf.fradelizi_check(ball3(), k=1, x_samples=60, rng=rng)
+    rep = vf.fradelizi_check(ball3(), k=1, samples=60, rng=rng)
     assert rep.middle.value == pytest.approx(math.pi, rel=1e-6)
     assert rep.upper.value == pytest.approx((4 / 3) ** 2 * math.pi, rel=1e-9)
     assert rep.verdict == "pass"
@@ -217,7 +237,7 @@ def test_fradelizi_ball(rng):
 
 
 def test_stephen_yaskin_simplex(rng):
-    rep = vf.stephen_yaskin_check(centered_simplex(), 1, k=1, x_samples=200,
+    rep = vf.stephen_yaskin_check(centered_simplex(), 1, k=1, samples=200,
                                   rng=rng)
     assert rep.verdict == "pass"
 
@@ -284,18 +304,18 @@ def test_cor47_simplex(rng):
 
 
 def test_thm45_thm13_ball(rng):
-    rep = vf.thm45_check(ball3(), 1, 1, flat_trials=100, rng=rng,
+    rep = vf.thm45_check(ball3(), 1, 1, samples=100, rng=rng,
                          constant_samples=60_000)
     assert rep.middle.value == pytest.approx(math.pi, rel=1e-9)
     assert rep.verdict == "pass"
-    rep2 = vf.thm13_check(ball3(), 1, 1, flat_trials=100, rng=rng.split(1),
+    rep2 = vf.thm13_check(ball3(), 1, 1, samples=100, rng=rng.split(1),
                           constant_samples=60_000)
     assert rep2.verdict == "pass"
     assert rep2.details["ordering_step_margin"] >= -3
 
 
 def test_cor48_simplex(rng):
-    rep = vf.thm45_check(centered_simplex(), 1, 1, flat_trials=200, rng=rng,
+    rep = vf.thm45_check(centered_simplex(), 1, 1, samples=200, rng=rng,
                          constant_samples=60_000, centered_variant=True)
     assert rep.verdict in ("pass", "inconclusive")
 
