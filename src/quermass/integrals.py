@@ -29,14 +29,12 @@ from quermass import bodies as bd
 from quermass import grassmann as gr
 from quermass import polytope as pt
 from quermass.core import (
-    DegenerateInputError,
     DomainError,
     MeanAccumulator,
     RngStream,
     log_binom,
     log_omega,
     omega,
-    orthonormalize,
 )
 
 BATCH = 8192
@@ -253,31 +251,6 @@ def quermass_steiner_fit(
     idx = int(np.where(cols == j)[0][0])
     return Estimate(float(theta[idx]), float(math.sqrt(cov[idx, idx])),
                     int(mc_samples * len(lambdas)), rng.seed, "steiner-fit")
-
-
-# ---------------------------------------------------------------------------
-# sub-dimensional hulls
-
-
-def quermass_subdim(points: np.ndarray, j: int, sub_samples: int,
-                    rng: RngStream) -> Estimate | None:
-    """W_j of conv({0} union points) inside the linear span of the points.
-
-    points is an (m, n) array whose rows, together with the origin, span an
-    m-dimensional subspace.  Returns None when the span is rank deficient
-    (a measure-zero event for random tuples; callers count it as zero).
-    """
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    m = len(p)
-    try:
-        basis = orthonormalize(p.T)
-    except DegenerateInputError:
-        return None
-    coords = p @ basis
-    body = bd.vpolytope(np.vstack([np.zeros(m), coords]))
-    if body._cache.get("degenerate"):
-        return None
-    return quermass_estimate(body, j, sub_samples, rng)
 
 
 def quermass_estimate(body: bd.ConvexBody, j: int, samples: int = 2048,

@@ -4,9 +4,10 @@ Convex hulls as the arrays Qhull returns (vertices, boundary simplices and
 their planes), the vertices of bounded halfspace intersections from the
 dual hull about an interior point, and fan-triangulation volumes,
 centroids and surface areas.  hull_volumes is the one entry point for the
-hull volumes of a stack of point sets (shadows, random tuples): planar
-stacks go to polygon_areas, which runs a monotone chain on every row at
-once, so no per-row planar hull is built.  Everything is double precision;
+hull volumes of a stack of point sets (shadows, and random tuples that are
+not simplices; simplex tuples are closed forms in verify): planar stacks
+go to polygon_areas, which runs a monotone chain on every row at once, so
+no per-row planar hull is built.  Everything is double precision;
 intended scale is dimension <= 6 and at most a few thousand points.
 
 No jitter is applied anywhere.  Qhull runs with scipy's default options and

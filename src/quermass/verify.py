@@ -12,7 +12,9 @@ N, samples, sub_samples).  Each check first tests its hypotheses
 (HYPOTHESES, keyed by check id, which scenario validation reads too) and
 only then draws random numbers.  Haar flats come from one chunked
 iterator, _haar_flats, and every sampled maximum over sections from one
-loop, _max_quermass.
+loop, _max_quermass.  Every stack of random point tuples goes through one
+kernel, _hull_quermass; a tuple of m points in R^d that spans fewer than
+min(m-1, d) dimensions (a measure-zero event) reads 0 and is counted.
 
 Section quermassintegrals are always computed in the flat's intrinsic
 dimension.  Monte Carlo constants (expected hull volumes over the ball,
@@ -23,7 +25,6 @@ combine errors in quadrature.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 import time
 from collections.abc import Callable, Iterable, Iterator
@@ -37,8 +38,6 @@ from quermass import integrals as it
 from quermass import polytope as pt
 from quermass.core import RngStream, log_binom, log_omega, omega
 from quermass.integrals import Estimate
-
-logger = logging.getLogger(__name__)
 
 SIGMA_THRESHOLD = 3.0
 EXACT_RTOL = 1e-9
@@ -85,6 +84,7 @@ KJ_RANGE = Rule("1 <= k <= n-1 and 0 <= j <= n-k-1", ("k", "j"),
 J_RANGE = Rule("0 <= j <= n-1", ("j",), lambda n, j: 0 <= j <= n - 1)
 N_POINTS = Rule("N >= n+1", ("N",), lambda n, N: N >= n + 1)
 N_POSITIVE = Rule("N >= 1", ("N",), lambda n, N: N >= 1)
+N_AT_LEAST_K = Rule("N >= k", ("k", "N"), lambda n, k, N: N >= k)
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ HYPOTHESES: dict[str, Hypotheses] = {
     "rs-lower": Hypotheses((K_RANGE,), symmetric=True),
     "fradelizi": Hypotheses((K_RANGE,), centered=True),
     "stephen-yaskin": Hypotheses((KJ_RANGE,), centered=True),
-    "dpp-spot": Hypotheses((K_RANGE, N_POSITIVE)),
+    "dpp-spot": Hypotheses((K_RANGE, N_POSITIVE, N_AT_LEAST_K)),
     "thm-4-3": Hypotheses((KJ_RANGE,), symmetric=True),
     "cor-4-7": Hypotheses((KJ_RANGE,), centered=True),
     "bp-identity": Hypotheses((K_RANGE,)),
@@ -196,23 +196,13 @@ def _compute_once(cache: dict, key: tuple, compute) -> Estimate:
     return cache[key]
 
 
-def _hull_volumes(x: np.ndarray, include_origin: bool) -> np.ndarray:
-    """|conv({0}? union {x_1..x_q})| for each row of x, shape (count, q, d)."""
-    if include_origin:
-        x = np.concatenate([np.zeros((len(x), 1, x.shape[2])), x], axis=1)
-    return pt.hull_volumes(x)
-
-
 def _random_hull_volumes(d: int, q: int, include_origin: bool, count: int,
-                         gen: np.random.Generator, power: float = 1.0) -> np.ndarray:
-    """|conv({0}? union {x_1..x_q})|^power for x_i uniform in the unit d-ball."""
+                         gen: np.random.Generator) -> np.ndarray:
+    """|conv({0}? union {x_1..x_q})| for x_i uniform in the unit d-ball."""
     g = gen.standard_normal((count, q, d))
     g /= np.linalg.norm(g, axis=2, keepdims=True)
-    r = gen.uniform(size=(count, q, 1)) ** (1.0 / d)
-    out = _hull_volumes(g * r, include_origin)
-    if power != 1.0:
-        out = out ** power
-    return out
+    x = g * gen.uniform(size=(count, q, 1)) ** (1.0 / d)
+    return _hull_quermass(_with_origin(x) if include_origin else x, 0)[0]
 
 
 def dpp_constant(d: int, q: int, include_origin: bool, samples: int,
@@ -281,8 +271,8 @@ def bp_calibrate(n: int, s: int, samples: int, rng: RngStream) -> Estimate:
 
     def compute() -> Estimate:
         inner = it.batched_mean(samples, rng, "bp-mc", lambda take, stream: (
-            _random_hull_volumes(s, s, True, take, stream.generator(),
-                                 power=float(n - s))))
+            _random_hull_volumes(s, s, True, take, stream.generator())
+            ** float(n - s)))
         scale = math.exp(s * log_omega(n) - s * log_omega(s))
         return inner.inverted().scaled(scale)
 
@@ -739,6 +729,60 @@ def stephen_yaskin_check(body: bd.ConvexBody, j: int, k: int | None = None,
 
 # ---------------------------------------------------------------------------
 # random-hull functionals
+# One kernel, _hull_quermass, for every stack of point tuples, in the checks
+# and in the ball constants; a degenerate tuple reads 0 and is counted.
+
+
+def _with_origin(x: np.ndarray) -> np.ndarray:
+    """The (B, m, d) stack x with the origin prepended to every row."""
+    return np.pad(x, ((0, 0), (1, 0), (0, 0)))
+
+
+def _hull_quermass(x: np.ndarray, j: int, sub_samples: int = 0,
+                   rng: RngStream | None = None) -> tuple[np.ndarray, int]:
+    """(values, degenerate): W_j of the hull of each row of the (B, m, d)
+    stack x, in the row's own span of dimension q = min(m-1, d); a row that
+    spans fewer dimensions reads 0 and is counted.
+
+    Non-simplex rows (m > q+1) at j = 0 go to pt.hull_volumes, whose rank
+    test decides flatness.  Every other row is flat when the singular
+    values of its edges E from its first point fall below 1e-10 times their
+    largest.  Simplex rows (m = q+1) at j <= 1 are closed forms over the
+    whole stack in own-span coordinates (one batched sign-fixed QR when
+    q < d): W_0 = |det E| / q!, W_1 = the facets' (q-1)-volumes over q.
+    The rest build one V-polytope per row, in own-span coordinates, and
+    take its W_j estimate on rng.split(i).
+    """
+    b, m, d = x.shape
+    q = min(m - 1, d)
+    simplex = m == q + 1
+    if not simplex and j == 0:
+        values = pt.hull_volumes(x)
+        return values, int(np.count_nonzero(values == 0.0))
+    e = x[:, 1:] - x[:, :1]
+    sv = np.linalg.svd(e, compute_uv=False)
+    flat = (sv[:, 0] == 0.0) | (sv[:, -1] < pt.RANK_RTOL * sv[:, 0])
+    if simplex and q < d:
+        basis, r = np.linalg.qr(e.transpose(0, 2, 1))
+        signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
+        e = e @ (basis * signs[:, None, :])
+        x = _with_origin(e)
+    if simplex and j == 0:
+        values = np.abs(np.linalg.det(e)) / math.factorial(q)
+    elif simplex and j == 1:
+        v = _with_origin(e)
+        area = np.zeros(b)
+        for i in range(q + 1):
+            facet = np.delete(v, i, axis=1)
+            f = facet[:, 1:] - facet[:, :1]
+            area += np.sqrt(np.maximum(np.linalg.det(f @ f.transpose(0, 2, 1)), 0.0))
+        values = area / (q * math.factorial(q - 1))
+    else:
+        values = np.array([0.0 if flat[i] else it.quermass_estimate(
+            bd.vpolytope(row), j, sub_samples, rng.split(i)).value
+            for i, row in enumerate(x)])
+    values[flat] = 0.0
+    return values, int(flat.sum())
 
 
 NORM_PROBES = 256
@@ -762,7 +806,8 @@ def dpp_spotcheck(body: bd.ConvexBody, k: int, N: int,
     comp = flat.complement()
     pts = bd.sample_uniform(body, samples * N, rng.split_named("tuples"))
     proj = (pts @ flat.basis).reshape(samples, N, k)
-    middle = Estimate.from_values(_hull_volumes(proj, True), rng.seed, "marginal-mc")
+    middle = Estimate.from_values(_hull_quermass(_with_origin(proj), 0)[0],
+                                  rng.seed, "marginal-mc")
 
     probes = bd.sample_uniform(body, NORM_PROBES, rng.split_named("probes"))
     points = np.vstack([np.zeros(n), probes])
@@ -778,27 +823,6 @@ def dpp_spotcheck(body: bd.ConvexBody, k: int, N: int,
                    rng.seed, started, note="sampled max inflates the bound")
 
 
-def _expected_subdim_hull_quermass(body: bd.ConvexBody, q: int, j: int,
-                                   samples: int, rng: RngStream,
-                                   sub_samples: int) -> tuple[Estimate, int]:
-    """E[W_j of conv{0, x_1..x_q} in its own span], x_i uniform in the body."""
-    pts = bd.sample_uniform(body, samples * q, rng.split_named("tuples"))
-    tuples = pts.reshape(samples, q, body.dim)
-    vals = np.empty(samples)
-    degenerate = 0
-    for i in range(samples):
-        est = it.quermass_subdim(tuples[i], j, sub_samples, rng.split(i))
-        if est is None:
-            degenerate += 1
-            vals[i] = 0.0
-        else:
-            vals[i] = est.value
-    if degenerate > 0.001 * samples:
-        logger.warning("%d/%d degenerate tuples (tolerance bug?)",
-                       degenerate, samples)
-    return Estimate.from_values(vals, rng.seed, "tuple-mc"), degenerate
-
-
 def thm43_check(body: bd.ConvexBody, k: int, j: int,
                 samples: int = 20_000, rng: RngStream = RngStream(0),
                 sub_samples: int = DEFAULT_SUB_SAMPLES,
@@ -811,9 +835,10 @@ def thm43_check(body: bd.ConvexBody, k: int, j: int,
     n = body.dim
     check_id = "cor-4-7" if centered_variant else "thm-4-3"
     _require(check_id, body, k=k, j=j)
-    q = n - k
-    middle, degenerate = _expected_subdim_hull_quermass(
-        body, q, j, samples, rng, sub_samples)
+    pts = bd.sample_uniform(body, samples * (n - k), rng.split_named("tuples"))
+    vals, degenerate = _hull_quermass(_with_origin(pts.reshape(samples, n - k, n)),
+                                      j, sub_samples, rng)
+    middle = Estimate.from_values(vals, rng.seed, "tuple-mc")
     wref = reference_quermass(body, k + j, rng)
     const_stream = RngStream(rng.seed)
     c_est = (cprime_const if centered_variant else c_const)(
@@ -847,14 +872,14 @@ def bp_identity_check(body: bd.ConvexBody, k: int,
         vols[i] = 0.0 if section is None else bd.volume(section)
         if vols[i] > 0.0:
             tuples[i] = bd.sample_uniform(section, k, sub.split_named("pts"))
-    inner = Estimate.from_values(vols ** k * _hull_volumes(tuples, True) ** (n - k),
-                                 rng.seed, "bp-mc")
+    hulls, _ = _hull_quermass(_with_origin(tuples), 0)
+    inner = Estimate.from_values(vols ** k * hulls ** (n - k), rng.seed, "bp-mc")
     middle = inner.times(p_est)
     target = Estimate.exact(bd.volume(body) ** k)
     return _finish("bp-identity", body.describe(), {"n": n, "k": k, "N": samples},
                    target, middle, target,
-                   {"p(n,s)": p_est.value, "p_sigma": p_est.std_error,
-                    "|K|^s": target.value},
+                   {"p(n,k)": p_est.value, "p_sigma": p_est.std_error,
+                    "|K|^k": target.value},
                    rng.seed, started)
 
 
@@ -929,17 +954,8 @@ def thm46_check(body: bd.ConvexBody, j: int, N: int,
     check_id = "thm-1-4-centered" if centered_variant else "thm-4-6"
     _require(check_id, body, j=j, N=N)
     pts = bd.sample_uniform(body, samples * N, rng.split_named("tuples"))
-    tuples = pts.reshape(samples, N, n)
-    vals = np.empty(samples)
-    degenerate = 0
-    for i in range(samples):
-        hull_body = bd.vpolytope(tuples[i])
-        if hull_body._cache.get("degenerate"):
-            degenerate += 1
-            vals[i] = 0.0
-            continue
-        vals[i] = it.quermass_estimate(hull_body, j, sub_samples,
-                                       rng.split(i)).value
+    vals, degenerate = _hull_quermass(pts.reshape(samples, N, n), j,
+                                      sub_samples, rng)
     middle = Estimate.from_values(vals, rng.seed, "tuple-mc")
     wref = reference_quermass(body, j, rng)
     c_est = c46_const(n, N, j, constant_samples, RngStream(rng.seed),

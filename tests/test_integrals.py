@@ -178,19 +178,6 @@ def test_steiner_fit_conditioning_error(rng):
         it.quermass_steiner_fit(cube, 1, lams, 1000, rng)
 
 
-def test_quermass_subdim_examples(rng):
-    tri = np.array([[1.0, 0, 0], [0, 1.0, 0]])
-    est0 = it.quermass_subdim(tri, 0, 64, rng)
-    assert est0.value == pytest.approx(0.5, rel=1e-12)
-    est1 = it.quermass_subdim(tri, 1, 64, rng)
-    assert est1.value == pytest.approx((2 + math.sqrt(2)) / 2, rel=1e-12)
-
-    seg = it.quermass_subdim(np.array([[0.6, 0.8, 0.0]]) * 2.0, 0, 8, rng)
-    assert seg.value == pytest.approx(2.0, rel=1e-12)
-
-    assert it.quermass_subdim(np.array([[1.0, 0, 0], [2.0, 0, 0]]), 0, 8, rng) is None
-
-
 def test_homogeneity_exact_and_mc(rng):
     cube = centered_cube()
     double = bd.scale(cube, 2.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import itertools
 import json
@@ -169,6 +170,8 @@ def test_scenario_validation_rejects_out_of_range_n_and_j():
     for entry, text in (({"check": "dpp-spot", "k": 1, "N": 0}, "N >= 1"),
                         ({"check": "dpp-spot", "k": 1, "N": -2}, "N >= 1"),
                         ({"check": "dpp-spot", "k": 4, "N": 3}, "(n=3, k=4)"),
+                        ({"check": "dpp-spot", "k": 2, "N": 1},
+                         "need N >= k (n=3, k=2, N=1)"),
                         ({"check": "bp-identity", "k": 3}, "(n=3, k=3)"),
                         ({"check": "thm-4-6", "j": 1, "N": 3},
                          "need N >= n+1 (n=3, N=3)"),
@@ -347,6 +350,33 @@ def test_scenario_reproducible_across_reruns():
     csv_one = sc.reports_to_csv(sc.run_scenario(sc.load_scenario(_small_scenario())))
     csv_again = sc.reports_to_csv(sc.run_scenario(sc.load_scenario(_small_scenario())))
     assert csv_one == csv_again
+
+
+def test_tuple_checks_reproducible_across_reruns(monkeypatch):
+    # both random-hull routes (closed-form simplices, per-row hulls) and the
+    # Monte Carlo constants, recomputed from empty caches on every run
+    for cid in ("dpp-spot", "thm-4-3", "bp-identity", "thm-4-6"):
+        cdef = sc.REGISTRY[cid]
+        monkeypatch.setitem(sc.REGISTRY, cid, dataclasses.replace(
+            cdef, runner=functools.partial(cdef.runner, constant_samples=2000)))
+    doc = {"seed": 11,
+           "bodies": [{"type": "box", "dim": 4, "center": [0.0] * 4,
+                       "halfwidths": [0.5] * 4, "flags": {"symmetric": True}}],
+           "checks": [{"check": "thm-4-3", "k": 1, "j": 1, "samples": 300},
+                      {"check": "thm-4-3", "k": 1, "j": 2, "samples": 20,
+                       "sub_samples": 16},
+                      {"check": "thm-4-6", "j": 1, "N": 5, "samples": 300},
+                      {"check": "thm-4-6", "j": 1, "N": 6, "samples": 50},
+                      {"check": "bp-identity", "k": 2, "samples": 200},
+                      {"check": "dpp-spot", "k": 2, "N": 3, "samples": 300}]}
+    outputs = []
+    for _ in range(2):
+        monkeypatch.setattr(vf, "_MC_CONSTANT_CACHE", {})
+        monkeypatch.setattr(vf, "_REF_CACHE", {})
+        reports = sc.run_scenario(sc.load_scenario(doc))
+        assert all(r.verdict != "error" for r in reports), [r.note for r in reports]
+        outputs.append(sc.reports_to_csv(reports))
+    assert outputs[0] == outputs[1]
 
 
 def test_scenario_seed_changes_results():

@@ -6,8 +6,9 @@ from scipy import integrate
 
 from quermass import bodies as bd
 from quermass import grassmann as gr
+from quermass import integrals as it
 from quermass import verify as vf
-from quermass.core import RngStream, omega
+from quermass.core import RngStream, omega, orthonormalize
 
 
 def ball3():
@@ -65,6 +66,85 @@ def test_dpp_constant_caching(rng):
     a = vf.dpp_constant(2, 3, True, 20_000, rng)
     b = vf.dpp_constant(2, 3, True, 20_000, rng)
     assert a is b
+
+
+def _own_span_body(row):
+    """The per-row oracle: the V-polytope of a point row in its own span,
+    as the kernel's per-row route builds it."""
+    q = min(len(row) - 1, row.shape[1])
+    if q == row.shape[1]:
+        return bd.vpolytope(row)
+    edges = row[1:] - row[:1]
+    return bd.vpolytope(np.vstack([np.zeros(q), edges @ orthonormalize(edges.T)]))
+
+
+@pytest.mark.parametrize("origin", [False, True])
+def test_hull_quermass_simplices_match_per_row_hulls(origin):
+    gen = np.random.default_rng(11)
+    for d in range(1, 7):
+        for q in range(1, min(d, 5) + 1):
+            x = gen.standard_normal((20, q if origin else q + 1, d))
+            if origin:
+                x = vf._with_origin(x)
+            for j in (0, 1):
+                values, degenerate = vf._hull_quermass(x, j)
+                oracle = [it.quermass_exact(_own_span_body(row), j) for row in x]
+                np.testing.assert_allclose(values, oracle, rtol=1e-12)
+                assert degenerate == 0
+
+
+def test_hull_quermass_non_simplex_rows_match_per_row_hulls(rng):
+    gen = np.random.default_rng(12)
+    for m in (5, 6, 7):
+        x = gen.standard_normal((30, m, 3))
+        for j in (0, 1):
+            values, degenerate = vf._hull_quermass(x, j, 8, rng)
+            oracle = [it.quermass_exact(bd.vpolytope(row), j) for row in x]
+            np.testing.assert_allclose(values, oracle, rtol=1e-12)
+            assert degenerate == 0
+
+
+def test_hull_quermass_examples_and_degenerate_rows(rng):
+    a = np.random.default_rng(13).standard_normal(3)
+    # with the origin: the unit triangle, a collinear pair, a repeated point
+    simplices = vf._with_origin(np.array([[[1.0, 0, 0], [0, 1.0, 0]],
+                                          [a, 2.0 * a], [a, a]]))
+    for j, w in ((0, 0.5), (1, (2 + math.sqrt(2)) / 2), (2, math.pi)):
+        values, degenerate = vf._hull_quermass(simplices, j, 16, rng)
+        assert values[0] == pytest.approx(w, rel=1e-12)
+        assert list(values[1:]) == [0.0, 0.0] and degenerate == 2
+    seg = vf._with_origin(np.array([[[0.6, 0.8, 0.0]]]) * 2.0)
+    assert vf._hull_quermass(seg, 0)[0][0] == pytest.approx(2.0, rel=1e-12)
+    # five points: a solid row, a planar row, one point five times
+    gen = np.random.default_rng(14)
+    rows = np.array([gen.standard_normal((5, 3)),
+                     gen.standard_normal((5, 3)) * [1.0, 1.0, 0.0], np.tile(a, (5, 1))])
+    for j in (0, 1, 2):
+        values, degenerate = vf._hull_quermass(rows, j, 16, rng)
+        assert values[0] > 0.0
+        assert list(values[1:]) == [0.0, 0.0] and degenerate == 2
+
+
+def test_hull_quermass_scaling(rng):
+    gen = np.random.default_rng(15)
+    for x, q in ((vf._with_origin(gen.standard_normal((10, 3, 5))), 3),
+                 (gen.standard_normal((10, 4, 3)), 3),
+                 (gen.standard_normal((10, 6, 3)), 3)):
+        for j in (0, 1, 2):
+            values, _ = vf._hull_quermass(x, j, 16, rng)
+            scaled, _ = vf._hull_quermass(2.5 * x, j, 16, rng)
+            np.testing.assert_allclose(scaled, 2.5 ** (q - j) * values, rtol=1e-12)
+
+
+def test_hull_quermass_per_row_route_is_the_per_row_estimate(rng):
+    # j >= 2: each row's own-span V-polytope, estimated on rng.split(i)
+    gen = np.random.default_rng(16)
+    for x in (vf._with_origin(gen.standard_normal((8, 3, 4))),
+              gen.standard_normal((8, 4, 3)), gen.standard_normal((8, 6, 3))):
+        values, _ = vf._hull_quermass(x, 2, 32, rng)
+        oracle = [it.quermass_estimate(_own_span_body(row), 2, 32, rng.split(i)).value
+                  for i, row in enumerate(x)]
+        assert values.tolist() == oracle
 
 
 def test_crofton_ball_closed_form(rng):
