@@ -5,17 +5,22 @@ with its ambient dimension and optional symmetric/centered flags.  A
 V-polytope gets its hull when it is built, and a polytope given by
 halfspaces (hpolytope) is built as one.  Bodies are immutable after
 construction; other derived data (halfspace forms, bounding boxes,
-volumes) is cached on first use, so all operations stay re-entrant.
+volumes, the faces of the boundary triangulation) is cached on first use,
+so all operations stay re-entrant.
 
 Sections and projections are re-expressed in an orthonormal coordinate
 system of the subspace, so the result's ambient dimension is the subspace
-dimension.  Empty sections are signalled by returning None rather than by
+dimension.  Subspaces are grassmann.Subspace objects (a raw basis is
+checked once by grassmann.subspace_from_basis).  A polytope section of any
+codimension is clipped from the boundary triangulation of the polytope's
+hull.  Empty sections are signalled by returning None rather than by
 raising: flat-average integrands vanish outside the support and estimators
 count such samples as zero.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import math
 
@@ -91,20 +96,6 @@ class ConvexBody:
     def with_name(self, name: str) -> "ConvexBody":
         self._cache["name"] = name
         return self
-
-
-def _as_basis(subspace) -> np.ndarray:
-    """The orthonormal basis of a grassmann.Subspace as it is; a raw n x k
-    matrix from a caller is checked first."""
-    if isinstance(subspace, gr.Subspace):
-        return subspace.basis
-    b = np.asarray(subspace, dtype=float)
-    if b.ndim != 2:
-        raise ValueError("subspace basis must be an n x k matrix")
-    gram = b.T @ b
-    if not np.allclose(gram, np.eye(b.shape[1]), atol=1e-9):
-        raise ValueError("subspace basis must have orthonormal columns")
-    return b
 
 
 def ball(center, radius: float, flags: Flags | None = None) -> ConvexBody:
@@ -191,10 +182,10 @@ def hpolytope(normals, offsets, flags: Flags | None = None) -> ConvexBody:
     a = a / nrm[:, None]
     b = b / nrm
     _require_bounded(a, b)
-    verts = _halfspace_vertices(a, b, min_inradius=1e-9)
-    if len(verts) == 0:
+    centre, inradius = _chebyshev(a, b)
+    if centre is None or inradius <= 1e-9:
         raise DegenerateBodyError("halfspace intersection has empty interior")
-    body = vpolytope(verts, flags)
+    body = vpolytope(pt.halfspace_intersection_vertices(a, b, centre), flags)
     body._cache["hrep"] = (a, b)
     return body
 
@@ -226,24 +217,6 @@ def _chebyshev(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, float]:
     if res.status != 0:
         return None, -math.inf
     return res.x[:d], float(res.x[d])
-
-
-def _halfspace_vertices(a: np.ndarray, b: np.ndarray, witness=None,
-                        slack_tol: float = 0.0,
-                        min_inradius: float = 0.0) -> np.ndarray:
-    """Vertices of the bounded {x : a x <= b}, rows of a unit vectors, from
-    the dual hull about an interior point.
-
-    That point is the witness when every slack there exceeds slack_tol;
-    otherwise, or without a witness, it is the Chebyshev centre, and a set
-    whose inscribed radius is at most min_inradius has no vertices, shape
-    (0, d).
-    """
-    if witness is None or np.min(b - a @ witness) <= slack_tol:
-        witness, inradius = _chebyshev(a, b)
-        if witness is None or inradius <= min_inradius:
-            return np.empty((0, a.shape[1]))
-    return pt.halfspace_intersection_vertices(a, b, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +454,7 @@ def transform_orthogonal(body: ConvexBody, q: np.ndarray) -> ConvexBody:
 
 def project(body: ConvexBody, subspace) -> ConvexBody:
     """Orthogonal projection onto a subspace, in that subspace's coordinates."""
-    basis = _as_basis(subspace)
+    basis = gr.subspace_from_basis(subspace).basis
     n, k = basis.shape
     if n != body.dim or k >= body.dim:
         raise ValueError("projection subspace must have dimension < dim(K)")
@@ -503,17 +476,16 @@ def affine_section(body: ConvexBody, subspace, point) -> ConvexBody | None:
 
     point may be any point of the flat (None: the origin).  Its part x
     orthogonal to F is the offset, and a section point z has coordinates
-    basis^T z.  A polytope section of codimension >= 2 takes its vertices
-    from the dual hull about point itself when point lies inside K with
-    slack to spare (a lift from sample_lifted_with does), else about the
-    section's Chebyshev centre.  Sections that are degenerate (touching the
-    boundary within tolerance) also return None; estimators treat both as a
-    zero contribution.
+    basis^T z.  A polytope section is the hull of the points where the flat
+    crosses the faces of the boundary triangulation (_clip).  Sections
+    that are degenerate (touching the boundary within tolerance) also
+    return None; estimators treat both as a zero contribution.
     """
-    basis = _as_basis(subspace)
+    flat = gr.subspace_from_basis(subspace)
+    basis = flat.basis
     n, k = basis.shape
-    if n != body.dim:
-        raise ValueError("subspace lives in the wrong ambient dimension")
+    if n != body.dim or k >= n:
+        raise ValueError("section subspace must have dimension < dim(K)")
     p = np.zeros(n) if point is None else np.asarray(point, dtype=float)
     x = p - basis @ (basis.T @ p)
 
@@ -543,79 +515,64 @@ def affine_section(body: ConvexBody, subspace, point) -> ConvexBody | None:
             return None
         return ellipsoid(y0, np.linalg.inv(mq) * (1.0 - s), flags)
 
-    a, b = _hrep(body)
-    a_sec = a @ basis
-    b_sec = b - a @ x
-    nrm = np.linalg.norm(a_sec, axis=1)
-    # Constraints orthogonal to the flat are either void or verdicts of emptiness.
-    tiny = nrm <= 1e-12
-    if np.any(b_sec[tiny] < -1e-9):
-        return None
-    a_sec, b_sec, nrm = a_sec[~tiny], b_sec[~tiny], nrm[~tiny]
-    a_sec = a_sec / nrm[:, None]
-    b_sec = b_sec / nrm
-
-    if k == n - 1:
-        # a hyperplane: clip boundary edges instead of solving constraints
-        verts = _clip_codim1(body, basis, x)
-    else:
-        scale = 1.0 + circumradius(body)
-        verts = _halfspace_vertices(a_sec, b_sec, basis.T @ p, 1e-9 * scale,
-                                    1e-12 * scale)
-    sec = vpolytope(verts, flags)
-    if sec._cache.get("degenerate"):
-        return None
-    sec._cache["hrep"] = (a_sec, b_sec)
-    return sec
+    sec = vpolytope(_clip(body, flat, x), flags)
+    return None if sec._cache.get("degenerate") else sec
 
 
-def _boundary_edges(body: ConvexBody) -> np.ndarray:
-    """Vertex index pairs covering all boundary edges (from the boundary
-    triangulation, so flat-face diagonals may appear; they are harmless
-    for clipping since they lie on the boundary)."""
-    edges = body._cache.get("tri_edges")
-    if edges is None:
-        if body.dim == 1:
-            edges = np.array([[0, 1]])
-        else:
-            simplices = _hull(body).simplices
-            pairs = set()
-            for simplex in simplices:
-                s = sorted(int(v) for v in simplex)
-                for i in range(len(s)):
-                    for jj in range(i + 1, len(s)):
-                        pairs.add((s[i], s[jj]))
-            edges = np.array(sorted(pairs), dtype=int)
-        body._cache["tri_edges"] = edges
-    return edges
+CLIP_TOL = 1e-12
 
 
-def _clip_codim1(body: ConvexBody, basis: np.ndarray, x: np.ndarray
-                 ) -> np.ndarray:
-    """Vertices of the section of a polytope by the hyperplane x + span(basis),
-    in basis coordinates: on-plane vertices plus crossed boundary edges
-    (none when the hyperplane misses the polytope)."""
-    q_full, _ = np.linalg.qr(basis, mode="complete")
-    normal = q_full[:, -1]
-    verts = _vrep(body)
-    scale = float(np.max(np.abs(verts))) + 1.0
-    h = verts @ normal - normal @ x
-    tol = 1e-12 * scale
-    pieces = []
-    on_plane = np.abs(h) <= tol
-    if on_plane.any():
-        pieces.append(verts[on_plane])
-    edges = _boundary_edges(body)
-    hi, hj = h[edges[:, 0]], h[edges[:, 1]]
-    crossing = ((hi > tol) & (hj < -tol)) | ((hi < -tol) & (hj > tol))
-    if crossing.any():
-        e = edges[crossing]
-        t = (h[e[:, 0]] / (h[e[:, 0]] - h[e[:, 1]]))[:, None]
-        pieces.append(verts[e[:, 0]] + t * (verts[e[:, 1]] - verts[e[:, 0]]))
-    if not pieces:
-        return np.empty((0, basis.shape[1]))
-    ambient = np.vstack(pieces)
-    return (ambient - x) @ basis
+def _faces(body: ConvexBody, c: int) -> np.ndarray:
+    """The c-faces of the boundary triangulation, each once and in
+    lexicographic order of their sorted vertex indices, as a (c+1, F) array:
+    column f lists the vertices of face f."""
+    faces = body._cache.get(("faces", c))
+    if faces is None:
+        simplices = np.sort(_hull(body).simplices, axis=1)
+        pick = list(itertools.combinations(range(simplices.shape[1]), c + 1))
+        rows = np.unique(simplices[:, pick].reshape(-1, c + 1), axis=0)
+        faces = np.ascontiguousarray(rows.T)
+        body._cache[("faces", c)] = faces
+    return faces
+
+
+def _clip(body: ConvexBody, flat: gr.Subspace, x: np.ndarray) -> np.ndarray:
+    """Points of the polytope section by x + F, in F-coordinates, whose hull
+    is the section; none when the flat misses the polytope.
+
+    With F of codimension c, every vertex of the section lies on a c-face
+    of the boundary triangulation (an edge at c = 1).  A face with vertices
+    v_0..v_c and heights h_i = N^T (v_i - x) along a complement basis N
+    meets the flat at sum l_i v_i, where [h^T; 1] l = [0; 1] and l >= 0.
+    By Cramer's rule l_i is (-1)^i D_i / sum_m (-1)^m D_m, with D_i the
+    determinant of the heights of the other c vertices; at c = 1 this is
+    the edge interpolation.  The heights are divided by their largest
+    magnitude, so the tolerances do not depend on the body's scale.  Faces
+    whose heights do not straddle 0 on every axis are skipped before the
+    solve, and so are faces parallel to the flat (|sum| <= CLIP_TOL): the
+    points they hold lie on faces that cross it.
+    """
+    verts = _hull(body).vertices
+    normals = flat.complement().basis
+    c = normals.shape[1]
+    h = (verts - x) @ normals
+    h /= np.abs(h).max()
+    # outcodes: bit 2a marks a vertex above the flat along axis a, bit 2a+1
+    # one below it; a face whose vertices share a bit misses the flat
+    bits = 1 << np.arange(0, 2 * c, 2)
+    codes = (h > CLIP_TOL) @ bits | (h < -CLIP_TOL) @ (bits << 1)
+    faces = _faces(body, c)
+    faces = faces[:, np.bitwise_and.reduce(codes[faces], axis=0) == 0]
+    others = [[m for m in range(c + 1) if m != i] for i in range(c + 1)]
+    minors = np.linalg.det(h[faces[others]].transpose(0, 2, 1, 3))
+    minors[1::2] *= -1.0
+    total = minors.sum(axis=0)
+    solvable = np.abs(total) > CLIP_TOL
+    lam = minors[:, solvable] / total[solvable]
+    inside = (lam >= -CLIP_TOL).all(axis=0)
+    corners = verts[faces[:, solvable][:, inside]]
+    points = (lam[:, inside, None] * corners).sum(axis=0)
+    return (points - x) @ flat.basis
 
 
 def central_section(body: ConvexBody, subspace) -> ConvexBody | None:
@@ -673,10 +630,8 @@ def sample_uniform_with(body: ConvexBody, count: int,
 
 
 def _fan_draw(hull: pt.HullComplex, apex: np.ndarray, count: int,
-              gen: np.random.Generator, lift=None) -> np.ndarray:
-    """count uniform points of the hull, or with lift = (a, v) the same
-    mixes of a in place of the apex and of row i of v in place of hull
-    vertex i.
+              gen: np.random.Generator) -> np.ndarray:
+    """count uniform points of the hull.
 
     The boundary simplices coned from an interior apex tile the hull: pick
     a cone with probability proportional to its volume, then mix its
@@ -687,38 +642,22 @@ def _fan_draw(hull: pt.HullComplex, apex: np.ndarray, count: int,
     pick = np.searchsorted(cones, gen.random(count) * cones[-1], side="right")
     w = gen.standard_exponential((count, hull.dim + 1))
     w /= w.sum(axis=1, keepdims=True)
-    top, corners = (apex, hull.vertices) if lift is None else lift
     rows = hull.simplices[np.minimum(pick, len(cones) - 1)]
-    return w[:, :1] * top + np.einsum("ij,ijk->ik", w[:, 1:], corners[rows])
+    return w[:, :1] * apex + np.einsum("ij,ijk->ik", w[:, 1:], hull.vertices[rows])
 
 
-def sample_lifted_with(shadow: ConvexBody, count: int,
-                       gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(y, p): count uniform points y of a shadow made by project(body, F),
-    in F-coordinates, and for each a point p of body with basis^T p = y.
+def sample_shadow_with(shadow: ConvexBody, count: int,
+                       gen: np.random.Generator) -> np.ndarray:
+    """count uniform points of a shadow made by project(body, F), in
+    F-coordinates; the flat through y along F-perp is at basis @ y.
 
-    p is the point to section the body through along F-perp.  For a
-    polytope, p mixes the body's vertex mean c and the vertices above the
-    drawn fan simplex with the weights of y over P c and that simplex, so p
-    lies strictly inside the body.  For a ball or an ellipsoid, p is the
-    centre of the fibre through y.
+    A polytope shadow is drawn from its fan about the projected vertex
+    mean of the body; balls and ellipsoids as by sample_uniform_with.
     """
     body, basis = shadow._cache["source"]
     if body.kind in ("ball", "ellipsoid"):
-        ys = sample_uniform_with(shadow, count, gen)
-        rel = ys - shadow.center
-        if body.kind == "ellipsoid":
-            rel = np.linalg.solve(shadow.shape, rel.T).T @ (body.shape @ basis).T
-        else:
-            rel = rel @ basis.T
-        return ys, body.center + rel
-    verts = _vrep(body)
-    centre = verts.mean(axis=0)
-    # the shadow's hull was built from verts @ basis, so its vertex rows
-    # are the body vertices above them
-    hull = _hull(shadow)
-    lifts = _fan_draw(hull, centre @ basis, count, gen, (centre, verts[hull.rows]))
-    return lifts @ basis, lifts
+        return sample_uniform_with(shadow, count, gen)
+    return _fan_draw(_hull(shadow), _vrep(body).mean(axis=0) @ basis, count, gen)
 
 
 def distance_batch(body: ConvexBody, points: np.ndarray) -> np.ndarray:

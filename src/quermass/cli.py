@@ -98,11 +98,19 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return _run_and_report(scenario)
 
 
+# c(N) draws N points in the unit (n-j)-ball without the origin
+_C46_POINTS = vf.Rule("N >= n-j+1", ("j", "N"), lambda n, j, N: N >= n - j + 1)
+
+
 def _cmd_constants(args: argparse.Namespace) -> int:
     n, k, j = args.n, args.k, args.j
-    if not (1 <= k <= n - 1 and 0 <= j <= n - k - 1):
-        print("need 1 <= k <= n-1 and 0 <= j <= n-k-1", file=sys.stderr)
-        return 2
+    params = {"k": k, "j": j, "N": args.N}
+    errors = [p for rule in (vf.KJ_RANGE, _C46_POINTS)
+              if (p := rule.problem(n, params))]
+    if args.samples < 1:
+        errors.append(f"samples: must be >= 1, got {args.samples}")
+    if errors:
+        return _validation_failed(errors)
     rng = RngStream(args.seed)
     rows = [
         ("alpha", vf.alpha_const(n, k, j), None, "closed form"),

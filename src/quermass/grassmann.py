@@ -12,6 +12,9 @@ import numpy as np
 from quermass.core import RngStream, gaussian_matrix
 
 
+BASIS_TOL = 1e-9
+
+
 class GrassmannError(Exception):
     pass
 
@@ -37,11 +40,16 @@ class Subspace:
         return self._complement
 
 
-def subspace_from_basis(basis: np.ndarray) -> Subspace:
+def subspace_from_basis(basis) -> Subspace:
+    """A Subspace as it is; a raw n x k matrix once its columns are checked
+    to be orthonormal within BASIS_TOL."""
+    if isinstance(basis, Subspace):
+        return basis
     b = np.asarray(basis, dtype=float)
-    gram = b.T @ b
-    if not np.allclose(gram, np.eye(b.shape[1]), atol=1e-10):
-        raise ValueError("basis columns must be orthonormal")
+    if b.ndim != 2:
+        raise ValueError("subspace basis must be an n x k matrix")
+    if np.abs(b.T @ b - np.eye(b.shape[1])).max(initial=0.0) > BASIS_TOL:
+        raise ValueError("subspace basis must have orthonormal columns")
     return Subspace(b.shape[0], b.shape[1], b)
 
 

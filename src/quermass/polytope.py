@@ -2,7 +2,8 @@
 
 Convex hulls as the arrays Qhull returns (vertices, boundary simplices and
 their planes), the vertices of bounded halfspace intersections from the
-dual hull about an interior point, and fan-triangulation volumes,
+dual hull about an interior point (hpolytope's route; bodies clips
+sections from the boundary simplices), and fan-triangulation volumes,
 centroids and surface areas.  hull_volumes is the one entry point for the
 hull volumes of a stack of point sets (shadows, and random tuples that are
 not simplices; simplex tuples are closed forms in verify): planar stacks
@@ -52,19 +53,17 @@ class DegenerateHullError(PolytopeError):
 class HullComplex:
     """Convex hull of a point set, held as the arrays Qhull returns.
 
-    vertices are the extreme points and rows[i] is the input row of
-    vertices[i].  simplices triangulate the boundary (indices into
-    vertices) and drive exact volume, centroid, and surface-area
-    computations; equations[i] = (normal, -offset) is the outward unit plane
-    of simplex i.  Qhull gives every simplex of a facet the same plane, so
-    the facets are the distinct rows of equations.  Planar hulls list their
-    vertices counterclockwise from the lexicographically smallest one, with
-    the edges in that order.
+    vertices are the extreme points, in input order above the plane.
+    simplices triangulate the boundary (indices into vertices) and drive
+    exact volume, centroid, and surface-area computations; equations[i] =
+    (normal, -offset) is the outward unit plane of simplex i.  Qhull gives
+    every simplex of a facet the same plane, so the facets are the distinct
+    rows of equations.  Planar hulls list their vertices counterclockwise
+    from the lexicographically smallest one, with the edges in that order.
     """
 
     dim: int
     vertices: np.ndarray
-    rows: np.ndarray
     simplices: np.ndarray = field(repr=False)
     equations: np.ndarray = field(repr=False)
     interior_point: np.ndarray = field(init=False)
@@ -142,7 +141,7 @@ def _qhull(pts: np.ndarray, d: int) -> HullComplex:
         rows = qh.vertices  # sorted input indices
         remap = np.empty(len(pts), dtype=int)
         remap[rows] = np.arange(len(rows))
-        return HullComplex(d, pts[rows], rows, remap[qh.simplices], qh.equations)
+        return HullComplex(d, pts[rows], remap[qh.simplices], qh.equations)
     # qh.vertices run counterclockwise: start the ring at the smallest and
     # give its edges their planes in ring order
     ring = qh.vertices
@@ -157,14 +156,14 @@ def _qhull(pts: np.ndarray, d: int) -> HullComplex:
     normals[:, 0], normals[:, 1] = edge[:, 1], -edge[:, 0]
     normals /= np.sqrt(normals[:, None] @ normals[:, :, None])[:, 0]
     equations[:, 2] = -(normals[:, None] @ vertices[:, :, None])[:, 0, 0]
-    return HullComplex(2, vertices, rows, simplices, equations)
+    return HullComplex(2, vertices, simplices, equations)
 
 
 def _hull_1d(pts: np.ndarray) -> HullComplex:
     rows = np.array([np.argmin(pts[:, 0]), np.argmax(pts[:, 0])])
     lo, hi = pts[rows, 0]
     equations = np.array([[-1.0, lo], [1.0, -hi]])
-    return HullComplex(1, pts[rows], rows, np.array([[0], [1]]), equations)
+    return HullComplex(1, pts[rows], np.array([[0], [1]]), equations)
 
 
 def polygon_areas(points: np.ndarray) -> np.ndarray:

@@ -380,7 +380,7 @@ def _resolve_flat(check_id: str, body: bd.ConvexBody, k: int | None, flat,
     drawn only after the check's hypotheses hold."""
     if flat is None and k is None:
         raise PreconditionError("provide a flat or its dimension k")
-    if flat is not None and not isinstance(flat, gr.Subspace):
+    if flat is not None:
         flat = gr.subspace_from_basis(flat)
     k = k if k is not None else flat.k
     _require(check_id, body, k=k, **params)
@@ -411,14 +411,13 @@ def _haar_flats(n: int, m: int, rng: RngStream, count: int | None = None,
 
 def _affine_flat(body: bd.ConvexBody, flat: gr.Subspace,
                  gen: np.random.Generator) -> tuple[np.ndarray, float]:
-    """(p, weight): p a point of the body on the translate x + F whose
-    offset x is uniform on the body's shadow in F-perp, and weight the
-    shadow's volume.  For any g on sections, E[weight * g(K cap (x + F))]
-    is the integral of g over the translates of F, so with F Haar it is the
-    integral over affine flats."""
-    shadow = bd.project(body, flat.complement())
-    _, lifts = bd.sample_lifted_with(shadow, 1, gen)
-    return lifts[0], bd.volume(shadow)
+    """(x, weight): x uniform on the body's shadow in F-perp, so a point of
+    the translate x + F, and weight the shadow's volume.  For any g on
+    sections, E[weight * g(K cap (x + F))] is the integral of g over the
+    translates of F, so with F Haar it is the integral over affine flats."""
+    comp = flat.complement()
+    shadow = bd.project(body, comp)
+    return comp.basis @ bd.sample_shadow_with(shadow, 1, gen)[0], bd.volume(shadow)
 
 
 def _max_quermass(sections: Iterable[bd.ConvexBody | None], j: int,
@@ -494,11 +493,10 @@ def lemma_rs_check(body: bd.ConvexBody, j: int, flat=None,
     central = bd.central_section(body, comp)
     wc = it.quermass_estimate(central, j, 4 * sub_samples,
                               rng.split_named("central"))
-    _, lifts = bd.sample_lifted_with(shadow, samples,
-                                     rng.split_named("offsets").generator())
+    ys = bd.sample_shadow_with(shadow, samples, rng.split_named("offsets").generator())
     vals = np.empty(samples)
     for i in range(samples):
-        section = bd.affine_section(body, comp, lifts[i])
+        section = bd.affine_section(body, comp, flat.basis @ ys[i])
         vals[i] = _section_quermass(section, j, sub_samples, rng.split(i))
     middle = Estimate.from_values(vals, rng.seed, "offset-mc").scaled(pvol)
     binom_inv = math.exp(-log_binom(n - j, k))
@@ -669,15 +667,15 @@ def _offset_section_max(body: bd.ConvexBody, flat: gr.Subspace, j: int,
                         samples: int, rng: RngStream, sub_samples: int
                         ) -> tuple[Estimate, np.ndarray]:
     """Sampled max over offsets x in the shadow of W_j(K cap (x + F-perp))
-    and its offset x, over x = 0 and `samples` lifts; lift i is estimated
-    on rng.split(i + 1)."""
-    _, lifts = bd.sample_lifted_with(bd.project(body, flat), samples,
-                                     rng.split_named("xs").generator())
-    points = np.vstack([np.zeros(body.dim), lifts])
+    and its offset x, over x = 0 and `samples` uniform shadow points;
+    point i is estimated on rng.split(i + 1)."""
+    ys = bd.sample_shadow_with(bd.project(body, flat), samples,
+                               rng.split_named("xs").generator())
+    offsets = np.vstack([np.zeros(body.dim), ys @ flat.basis.T])
     comp = flat.complement()
-    best, i = _max_quermass((bd.affine_section(body, comp, p) for p in points),
+    best, i = _max_quermass((bd.affine_section(body, comp, x) for x in offsets),
                             j, sub_samples, rng)
-    return best, flat.basis @ (flat.basis.T @ points[i])
+    return best, offsets[i]
 
 
 def fradelizi_check(body: bd.ConvexBody, k: int | None = None, flat=None,

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from conftest import unit
 from quermass import bodies as bd
 from quermass import grassmann as gr
+from quermass import integrals as it
 from quermass.core import RngStream, orthonormalize
 from quermass.corpus import corpus
 
@@ -182,13 +182,55 @@ def _section_oracle(normals, offsets, basis, point):
         a = a[:, 0]
         return (b[a > 0] / a[a > 0]).min() - (b[a < 0] / a[a < 0]).max()
     hs = HalfspaceIntersection(np.hstack([a, -b[:, None]]), basis.T @ point)
-    return ConvexHull(hs.intersections).volume
+    # a vertex on more than k facets comes once per dual facet
+    verts = []
+    for v in hs.intersections:
+        if all(np.linalg.norm(v - w) > 1e-9 for w in verts):
+            verts.append(v)
+    return ConvexHull(np.array(verts)).volume
+
+
+def _polytopes(n):
+    """A box, a cross-polytope, a random symmetric polytope and a centred
+    simplex in R^n."""
+    gen = RngStream(17, n).generator()
+    g = gen.standard_normal((n + 2, n))
+    return [bd.box(np.zeros(n), np.linspace(0.3, 0.7, n)), crosspoly(n),
+            bd.vpolytope(np.vstack([g, -g])),
+            bd.translate_to_centered(bd.vpolytope(np.vstack([np.zeros(n), np.eye(n)])))]
+
+
+def _points_volume(points):
+    """Volume of the hull of points by Qhull's own measure, a range in 1-d."""
+    if points.shape[1] == 1:
+        return np.ptp(points)
+    return ConvexHull(points).volume
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_polytope_sections_match_the_halfspace_oracle(n, rng):
+    # every codimension, through the origin and through interior points;
+    # the section's points are measured by Qhull, so that the test sees the
+    # section alone and not bd.volume's fan over the boundary simplices
+    for b_i, body in enumerate(_polytopes(n)):
+        normals, offsets = bd._hrep(body)
+        centre = bd.barycenter(body)
+        for k in range(1, n):
+            stream = rng.split(10 * b_i + k)
+            inner = bd.sample_uniform(body, 6, stream)
+            points = np.vstack([np.zeros(n), 0.8 * inner + 0.2 * centre])
+            for basis, point in zip(gr.haar_bases(n, k, len(points), stream), points):
+                sec = bd.affine_section(body, basis, point)
+                assert _points_volume(sec.vertices) == pytest.approx(
+                    _section_oracle(normals, offsets, basis, point), rel=1e-9)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_lifted_shadow_points_witness_sections(k, rng, monkeypatch):
+    # a shadow point y, taken to the flat at comp.basis @ y, gives a section
+    # with interior, of the oracle's volume, with no LP on the way
     lps = []
-    monkeypatch.setattr(bd, "linprog", lambda *a, **kw: lps.append(1) or linprog(*a, **kw))
+    monkeypatch.setattr(bd, "linprog", lambda *a, **kw: lps.append(1))
     polytopes = [b for b in corpus("all")
                  if b.dim == 4 and b.kind in ("box", "vpolytope")]
     assert len(polytopes) == 5
@@ -197,14 +239,14 @@ def test_lifted_shadow_points_witness_sections(k, rng, monkeypatch):
         for i, basis in enumerate(gr.haar_bases(4, 4 - k, 200, rng.split(b_i))):
             flat = gr.Subspace(4, 4 - k, basis)
             comp = flat.complement()
-            ys, lifts = bd.sample_lifted_with(bd.project(body, comp), 1,
-                                              rng.split(b_i).split(i).generator())
-            assert np.abs(lifts @ comp.basis - ys).max() <= 1e-12
-            assert (offsets - normals @ lifts[0]).min() > 0.0
-            for point in (np.zeros(4), lifts[0]):
+            ys = bd.sample_shadow_with(bd.project(body, comp), 1,
+                                       rng.split(b_i).split(i).generator())
+            for point in (np.zeros(4), comp.basis @ ys[0]):
                 sec = bd.affine_section(body, flat, point)
+                inner = point + basis @ sec.vertices.mean(axis=0)
+                assert (offsets - normals @ inner).min() > 0.0
                 assert bd.volume(sec) == pytest.approx(
-                    _section_oracle(normals, offsets, flat.basis, point), rel=1e-9)
+                    _section_oracle(normals, offsets, basis, inner), rel=1e-9)
     assert lps == []
 
 
@@ -225,27 +267,96 @@ def test_vpolytope_takes_one_rank_test(monkeypatch):
     assert bd.volume(body) == 0.0
 
 
-def test_boundary_witness_takes_the_lp(monkeypatch):
-    lps = []
-    monkeypatch.setattr(bd, "linprog", lambda *a, **kw: lps.append(1) or linprog(*a, **kw))
+def _cube_flats(n):
+    """(basis, point, exact section volume or None) for flats of the cube
+    [-1/2, 1/2]^n that are axis-aligned, lie in a face, pass through
+    vertices along diagonals, touch one vertex, or miss."""
+    e = np.eye(n)
+    r2 = math.sqrt(2.0)
+    half = np.full(n, 0.5)
+    diag = np.full((n, 1), 1 / math.sqrt(n))
+    cases = [(e[:, :n - 1], 0.3 * e[n - 1], 1.0),
+             (e[:, :n - 1], 0.5 * e[n - 1], 1.0),
+             (e[:, :n - 1], 0.7 * e[n - 1], None),
+             (diag, np.zeros(n), math.sqrt(n)),
+             (e[:, :1], np.r_[0.0, half[1:]], 1.0),
+             (np.column_stack([e[:, 0] - e[:, 1]]) / r2, half, None),
+             (gr.subspace_from_basis(diag).complement().basis, half, None)]
+    if n == 3:
+        cases += [(np.column_stack([(e[:, 0] + e[:, 1]) / r2, e[:, 2]]), np.zeros(3), r2),
+                  (np.column_stack([(e[:, 0] + e[:, 1]) / r2]), 0.5 * e[2], r2)]
+    else:
+        cases += [(e[:, :2], 0.5 * e[2], 1.0),
+                  (e[:, :2], 0.5 * (e[2] + e[3]), 1.0),
+                  (e[:, :2], 0.6 * e[2], None),
+                  (np.column_stack([e[:, 0] + e[:, 1], e[:, 2] + e[:, 3]]) / r2,
+                   np.zeros(4), 2.0)]
+    return cases
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_degenerate_flats_of_cubes(n):
+    cube = bd.box(np.zeros(n), np.full(n, 0.5))
+    for basis, point, expected in _cube_flats(n):
+        sec = bd.affine_section(cube, basis, point)
+        if expected is None:
+            assert sec is None
+        else:
+            assert bd.volume(sec) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-3, 1e3])
+def test_section_quermass_scales_homogeneously(t, rng):
+    # W_j(t (K cap (x + F))) = t^(k-j) W_j(K cap (x + F)) for k-flats F, at
+    # every codimension, in both closed forms (j = 0 and j = 1)
+    for b_i, body in enumerate([bd.box(np.zeros(4), np.full(4, 0.5)), *_polytopes(4)]):
+        big = bd.scale(body, t)
+        for k in range(1, 4):
+            stream = rng.split(10 * b_i + k)
+            points = bd.sample_uniform(body, 5, stream)
+            for basis, point in zip(gr.haar_bases(4, k, 5, stream), points):
+                sec = bd.affine_section(body, basis, point)
+                scaled = bd.affine_section(big, basis, t * point)
+                for j in (0, 1):
+                    assert it.quermass_exact(scaled, j) == pytest.approx(
+                        t ** (k - j) * it.quermass_exact(sec, j), rel=1e-9)
+
+
+def test_sections_run_no_lp_or_dual_hull(monkeypatch, rng):
+    calls = []
+    monkeypatch.setattr(bd, "linprog", lambda *a, **kw: calls.append("lp"))
+    monkeypatch.setattr(bd.pt, "halfspace_intersection_vertices",
+                        lambda *a, **kw: calls.append("dual hull"))
     cube = bd.box(np.zeros(4), np.full(4, 0.5))
     f2 = np.eye(4)[:, :2]
     inside = bd.affine_section(cube, f2, np.array([0.1, 0.0, 0.2, -0.3]))
-    assert lps == []
     boundary = bd.affine_section(cube, f2, np.array([0.5, 0.0, 0.2, -0.3]))
-    assert lps == [1]
     assert bd.volume(boundary) == pytest.approx(1.0, rel=1e-12)
-    assert bd.volume(boundary) == pytest.approx(bd.volume(inside), rel=1e-12)
+    assert bd.volume(inside) == pytest.approx(1.0, rel=1e-12)
+    for n in (3, 4, 5):
+        for body in _polytopes(n):
+            for k in range(1, n):
+                for basis in gr.haar_bases(n, k, 5, rng.split(k)):
+                    bd.affine_section(body, basis, None)
+    assert calls == []
 
 
-def test_lifted_points_of_balls_and_ellipsoids(rng):
+def test_shadow_points_are_uniform(rng):
+    # uniform on the shadow: inside it, with the shadow's barycentre as
+    # mean, and the flat through each one meets the body
     flat = gr.haar_subspace(4, 2, rng)
-    for i, body in enumerate([bd.ball(np.array([0.3, 0, -0.2, 0.1]), 1.5),
-                              bd.ellipsoid(np.full(4, 0.2), np.diag([1.0, 4.0, 0.25, 2.0]))]):
-        ys, lifts = bd.sample_lifted_with(bd.project(body, flat), 500,
-                                          rng.split(i).generator())
-        assert np.abs(lifts @ flat.basis - ys).max() <= 1e-12
-        assert bd.contains_batch(body, lifts).all()
+    comp = flat.complement()
+    bodies = [bd.ball(np.array([0.3, 0, -0.2, 0.1]), 1.5),
+              bd.ellipsoid(np.full(4, 0.2), np.diag([1.0, 4.0, 0.25, 2.0])),
+              *_polytopes(4)]
+    for i, body in enumerate(bodies):
+        shadow = bd.project(body, flat)
+        ys = bd.sample_shadow_with(shadow, 4000, rng.split(i).generator())
+        assert bd.contains_batch(shadow, ys).all()
+        se = ys.std(axis=0) / math.sqrt(len(ys))
+        assert np.all(np.abs(ys.mean(axis=0) - bd.barycenter(shadow)) <= 5 * se)
+        for y in ys[:20]:
+            assert bd.affine_section(body, comp, flat.basis @ y) is not None
 
 
 def test_projection_section_product_bounds_volume(rng):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from quermass import bodies as bd
 from quermass import grassmann as gr
+from quermass import verify as vf
 from quermass.core import RngStream, gaussian_matrix, orthonormalize
 
 
@@ -25,6 +27,32 @@ def test_haar_subspace_param_validation():
         gr.haar_subspace(3, 0, RngStream(1))
     with pytest.raises(gr.GrassmannError):
         gr.haar_subspace(3, 3, RngStream(1))
+
+
+def _skewed(err):
+    """e_1, e_2 of R^3 with an inner product of err between them."""
+    basis = np.eye(3)[:, :2]
+    basis[0, 1] = err
+    return basis
+
+
+def test_one_basis_validator():
+    # one tolerance for every entry point that takes a raw basis: a
+    # 5e-10 orthonormality error passes, 2e-9 does not, on or off the
+    # diagonal, and a 1-d array is a ValueError rather than an IndexError
+    near = _skewed(5e-10)
+    assert gr.subspace_from_basis(near).k == 2
+    cube = bd.box(np.zeros(3), np.full(3, 0.5), bd.Flags(symmetric=True))
+    assert bd.volume(bd.project(cube, near)) == pytest.approx(1.0)
+    rep = vf.lemma_rs_check(cube, 0, flat=near, samples=4, rng=RngStream(3))
+    assert rep.params["k"] == 2
+    sub = gr.haar_subspace(4, 2, RngStream(5))
+    assert gr.subspace_from_basis(sub) is sub
+    for bad in (_skewed(2e-9), np.eye(3)[:, :2] * (1 + 1e-9), np.ones(3)):
+        with pytest.raises(ValueError):
+            gr.subspace_from_basis(bad)
+        with pytest.raises(ValueError):
+            bd.central_section(cube, bad)
 
 
 def test_complement_properties(rng):

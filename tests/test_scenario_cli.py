@@ -514,6 +514,19 @@ def test_cli_constants(capsys):
     assert f"{3 * math.pi / 8:.6f}"[:8] in alpha_line
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--k", "1", "--j", "0", "--N", "2"], "need N >= n-j+1 (n=3, j=0, N=2)"),
+    (["--k", "1", "--j", "1", "--samples", "0"], "samples: must be >= 1, got 0"),
+    (["--k", "3", "--j", "0"], "need 1 <= k <= n-1 and 0 <= j <= n-k-1 (n=3, k=3, j=0)"),
+], ids=["N", "samples", "k"])
+def test_cli_constants_validates_before_computing(argv, message, monkeypatch, capsys):
+    monkeypatch.setattr(vf, "c_const", lambda *a: pytest.fail("computed a constant"))
+    assert cli.main(["constants", "--n", "3", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"validation error: {message}" in captured.err
+
+
 def test_env_seed_default(monkeypatch):
     monkeypatch.setenv("QUERMASS_SEED", "99")
     scen = sc.load_scenario({"bodies": [], "checks": []})
